@@ -80,15 +80,22 @@ def _rational(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational: {text!r}") from None
 
 
+def _read_input(flag: str, path: str) -> str:
+    try:
+        return Path(path).read_text()
+    except OSError as exc:
+        raise ValueError(f"cannot read {flag} {path}: {exc.strerror or exc}") from None
+
+
 def _load_shift(args) -> object:
     if getattr(args, "shift_file", None):
-        return load_shift_text(Path(args.shift_file).read_text())
+        return load_shift_text(_read_input("--shift-file", args.shift_file))
     return parse_shift_arg(args.shift)
 
 
 def _load_roof(args) -> object:
     if getattr(args, "roof_file", None):
-        return parse_roof_text(Path(args.roof_file).read_text())
+        return parse_roof_text(_read_input("--roof-file", args.roof_file))
     return parse_roof_arg(args.roof)
 
 

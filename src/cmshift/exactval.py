@@ -13,10 +13,21 @@ by interval refinement, which makes `LogLinear` a totally ordered
 exact domain for everything Birkhoff sums of log-type roof functions
 can produce.
 
+The base is not canonical.  `+` is a left fold: each sum merges the
+two operands' bases, and what it splits depends on how the terms were
+grouped.  `(log 6 + log 2) + log 1/2` gives the base {2: 1, 3: 1}, while
+`log 6 + (log 2 + log 1/2)` gives {6: 1}.  Reports print that base, so
+accumulation loops add term by term and there is deliberately no
+one-shot `sum`, which would group differently and change report bytes.
+Each `+` costs about O(n * k) gcds for operands of n and k terms (see
+`_merge`).
+
 Numeric enclosures are directed rational intervals: `eval_interval(p)`
 returns a bracket of width at most 2**-p whose endpoints are dyadic
 rationals, computed from the atanh series with outward rounding at
-every step.
+every step.  Order comparisons first test the cached 32-bit enclosures
+of both sides and refine the sign of the difference only when they
+overlap.
 """
 
 from __future__ import annotations
@@ -24,7 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd
 from numbers import Rational
 
@@ -190,41 +201,73 @@ def log_interval(x: Rational, prec: int) -> Interval:
     return _log_pos_interval(x, prec)
 
 
-def _coprime_merge(pairs) -> dict[int, Fraction]:
-    """Combine (base, coefficient) log terms over a pairwise-coprime base.
+def _merge(left, right) -> dict[int, Fraction]:
+    """Combine two normal-form term lists over a pairwise-coprime base.
 
     Bases sharing a factor are split by gcd until no pair does; the value
-    sum c * log(base) is preserved exactly throughout.
+    sum c * log(base) is preserved exactly throughout.  Work items are
+    popped from the end of left + right, and each is tested against the
+    bases in insertion order; the first base sharing a factor is split.
+    This is the general merge over the flat list left + right, except
+    that gcd tests known to give 1 are skipped, so the first hit of each
+    scan, and hence the result, is unchanged.  Skipped are the tests of
+
+    * an input term against the bases inserted by its own list, whose
+      terms are pairwise coprime;
+    * the piece b // g of a popped term b, as for b, since it divides b;
+    * the pieces g and e // g of a split base e against the bases that
+      input terms inserted: the bases stay pairwise coprime, so e was
+      coprime to all of them, and no input term is popped while a piece
+      is pending.
+
+    A base inserted by an input term carries its list's bit (1 for left,
+    2 for right), a base inserted by a piece carries 0.  A work item
+    carries the mask of bits it may skip and scans `views[mask]`, the
+    bases whose bit is not in the mask.  A scan so covers at most the
+    other list's bases and the bases pieces inserted: a sum of n and k
+    terms costs O(n * k) gcds plus O(n + k) per base a piece inserted,
+    where the general merge costs O((n + k)^2).
     """
     bases: dict[int, Fraction] = {}
-    work = list(pairs)
+    views: dict[int, dict[int, None]] = {1: {}, 2: {}, 3: {}}
+    work = [(b, c, 1, 1) for b, c in left] + [(b, c, 2, 2) for b, c in right]
     while work:
-        b, c = work.pop()
+        b, c, mask, bit = work.pop()
         if b == 1 or c == 0:
             continue
-        if b < 1:
-            raise ValueError("log bases must be positive integers")
         if b in bases:
             bases[b] += c
             if bases[b] == 0:
                 del bases[b]
+                for view in views.values():
+                    view.pop(b, None)
             continue
-        for e in bases:
+        for e in views[mask]:
             g = gcd(b, e)
             if g > 1:
                 ce = bases.pop(e)
-                work.append((g, ce + c))
-                work.append((e // g, ce))
-                work.append((b // g, c))
+                for view in views.values():
+                    view.pop(e, None)
+                work.append((g, ce + c, 3, 0))
+                work.append((e // g, ce, 3, 0))
+                work.append((b // g, c, mask, 0))
                 break
         else:
             bases[b] = c
+            for m, view in views.items():
+                if not m & bit:
+                    view[b] = None
     return bases
 
 
 @dataclass(frozen=True, eq=False)
 class LogLinear:
-    """Exact value q + sum_i c_i * log(b_i); see module docstring."""
+    """Exact value q + sum_i c_i * log(b_i); see module docstring.
+
+    `logs` is the normal form: (b_i, c_i) sorted by base, with pairwise
+    coprime bases b_i >= 2 and nonzero c_i.  Every constructor in this
+    module keeps it, and `_merge` relies on it.
+    """
 
     rational: Fraction
     logs: tuple[tuple[int, Fraction], ...]
@@ -243,9 +286,8 @@ class LogLinear:
         r = Fraction(r)
         if r <= 0:
             raise ValueError("log of a nonpositive value")
-        merged = _coprime_merge(
-            [(r.numerator, Fraction(1)), (r.denominator, Fraction(-1))]
-        )
+        # numerator and denominator are coprime: two one-term normal forms
+        merged = _merge([(r.numerator, Fraction(1))], [(r.denominator, Fraction(-1))])
         return cls._make(_ZERO, merged)
 
     @classmethod
@@ -276,7 +318,7 @@ class LogLinear:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        merged = _coprime_merge(list(self.logs) + list(o.logs))
+        merged = _merge(self.logs, o.logs)
         return LogLinear._make(self.rational + o.rational, merged)
 
     __radd__ = __add__
@@ -336,29 +378,44 @@ class LogLinear:
             return NotImplemented
         return (self - o).is_zero
 
+    @cached_property
+    def _enclosure(self) -> Interval:
+        return self.eval_interval(32)  # the precision `sign` starts at
+
+    def _compare(self, o: "LogLinear") -> int:
+        """Sign of self - o, from the cached enclosures when they are disjoint."""
+        if not self.logs and not o.logs:
+            return (self.rational > o.rational) - (self.rational < o.rational)
+        a, b = self._enclosure, o._enclosure
+        if a.hi < b.lo:
+            return -1
+        if a.lo > b.hi:
+            return 1
+        return (self - o).sign()
+
     def __lt__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return (self - o).sign() < 0
+        return self._compare(o) < 0
 
     def __le__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return (self - o).sign() <= 0
+        return self._compare(o) <= 0
 
     def __gt__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return (self - o).sign() > 0
+        return self._compare(o) > 0
 
     def __ge__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return (self - o).sign() >= 0
+        return self._compare(o) >= 0
 
     __hash__ = None  # normal forms are not unique; semantic equality only
 

@@ -186,6 +186,17 @@ class TestDriver:
         config.write_text("{not json")
         assert main(["run", str(config)]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("argv", [
+        ["shift", "info", "--shift-file"],
+        ["flow", "classr", "--roof-file"],
+    ])
+    def test_missing_input_file_is_config_error(self, tmp_path, capsys, argv):
+        missing = tmp_path / "no_such_file.txt"
+        code, out = run_cli(tmp_path, *argv, str(missing))
+        assert code == EXIT_CONFIG
+        assert str(missing) in capsys.readouterr().err
+        assert not out.exists()
+
     def test_invalid_rational_rejected(self, tmp_path):
         with pytest.raises(SystemExit) as err:
             main([
