@@ -194,6 +194,26 @@ def _window(indices: Sequence[int], size: int | None) -> Sequence[int]:
     return indices[-k:]
 
 
+def _oscillation(sparse: dict[int, Fraction], window: Sequence[int]) -> Fraction:
+    """max - min of a sparse trace over a window of trailing indices.
+
+    `sparse` maps sample indices, inserted in ascending order, to values;
+    a missing index reads 0.  `window` is a contiguous run of indices that
+    ends at the last sample.  Only the entries inside the window are
+    read, plus one 0 when some window index has no entry, so the result
+    is the dense max - min over the same multiset of values.
+    """
+    first = window[0]
+    vals = []
+    for n in reversed(sparse):
+        if n < first:
+            break
+        vals.append(sparse[n])
+    if len(vals) < len(window):
+        vals.append(Fraction(0))
+    return max(vals) - min(vals)
+
+
 def cylinder_limit(
     seq: MeasureSequence,
     depth: int,
@@ -208,28 +228,28 @@ def cylinder_limit(
     represented implicitly.  The report is undetermined if any tracked
     cylinder oscillates by more than `tol` over the trailing window
     (the last quarter of the samples unless `window` overrides it).
+
+    Only the sparse traces are kept: each term's support table goes
+    straight into them, and each oscillation reads only the entries of
+    its trace inside the window (`_oscillation`), so the cost follows
+    the nonzero trace entries, not words x window.
     """
     tol = Fraction(tol)
     if tol <= 0:
         raise ValueError("tol must be positive")
+    if n_max < 1:
+        raise ValueError("n_max must be >= 1")
     indices = tuple(range(1, n_max + 1))
-    samples: dict[int, dict[Word, Fraction]] = {}
-    for n in indices:
-        combo = seq.term(n)
-        samples[n] = support_table(combo, depth, symbol_cap)
-
     traces: dict[Word, dict[int, Fraction]] = {}
-    for n, table in samples.items():
-        for word, value in table.items():
+    for n in indices:
+        final = support_table(seq.term(n), depth, symbol_cap)
+        for word, value in final.items():
             traces.setdefault(word, {})[n] = value
 
     window_idx = _window(indices, window)
-    final = samples[n_max]
-    oscillations = {}
-    for word, sparse in traces.items():
-        vals = [sparse.get(n, Fraction(0)) for n in window_idx]
-        vals.append(final.get(word, Fraction(0)))
-        oscillations[word] = max(vals) - min(vals)
+    oscillations = {
+        word: _oscillation(sparse, window_idx) for word, sparse in traces.items()
+    }
 
     table = CylinderFunction(
         {w: v for w, v in final.items() if v != 0},

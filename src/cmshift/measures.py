@@ -10,6 +10,7 @@ enumeration of admissible cylinders.
 
 from __future__ import annotations
 
+import itertools
 import warnings
 from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
@@ -17,7 +18,14 @@ from fractions import Fraction
 from functools import lru_cache
 from numbers import Rational
 
-from .shifts import ShiftSpec, Word, is_admissible, successors, row_continues_beyond
+from .shifts import (
+    ShiftSpec,
+    Word,
+    is_admissible,
+    row_continues_beyond,
+    successor_iter,
+    successors,
+)
 
 __all__ = [
     "PeriodicOrbit",
@@ -227,27 +235,62 @@ def convex_combination(
 
 def combo_of_cylinder(nu: ConvexCombination, word: Iterable[int]) -> Fraction:
     w = tuple(word)
-    return sum(
-        (wt * measure_of_cylinder(mu, w) for wt, mu in nu.terms), Fraction(0)
-    )
+    total = Fraction(0)
+    for wt, mu in nu.terms:
+        m = measure_of_cylinder(mu, w)
+        if m:  # most cylinders miss most orbits
+            total += wt * m
+    return total
+
+
+def _window_counts(cycle: Word, depth: int, symbol_cap: int) -> dict[Word, int]:
+    """Occurrences of every cyclic window of length <= depth whose
+    symbols are all <= symbol_cap.
+
+    Each start j in [0, period) extends its window one symbol at a time
+    and stops at the first symbol over the cap, so one orbit costs
+    O(period * depth) window steps however many words it carries.
+    """
+    T = len(cycle)
+    ext = cycle * ((depth - 1) // T + 2)
+    counts: dict[Word, int] = {}
+    for j in range(T):
+        for end in range(j, j + depth):
+            if ext[end] > symbol_cap:
+                break
+            w = ext[j : end + 1]
+            counts[w] = counts.get(w, 0) + 1
+    return counts
+
+
+def _window_masses(
+    nu: ConvexCombination, depth: int, symbol_cap: int
+) -> dict[Word, Fraction]:
+    """Exact combination mass of every window that `_window_counts` finds.
+
+    A word that is no window of an orbit has mass 0 under it, so these
+    are the nonzero values of `combo_of_cylinder` on those words.
+    """
+    masses: dict[Word, Fraction] = {}
+    for wt, mu in nu.terms:
+        T = mu.period
+        for w, c in _window_counts(mu.orbit.cycle, depth, symbol_cap).items():
+            masses[w] = masses.get(w, 0) + wt * Fraction(c, T)
+    return masses
 
 
 def support_table(
     nu: ConvexCombination, depth: int, symbol_cap: int
 ) -> dict[Word, Fraction]:
     """All cylinders of length <= depth and symbols <= symbol_cap with
-    nonzero mass, read off the orbits directly."""
-    words: set[Word] = set()
-    for _, mu in nu.terms:
-        cycle = mu.orbit.cycle
-        T = len(cycle)
-        ext = cycle * ((depth - 1) // T + 2)
-        for j in range(T):
-            for length in range(1, depth + 1):
-                w = tuple(ext[j : j + length])
-                if max(w) <= symbol_cap:
-                    words.add(w)
-    return {w: combo_of_cylinder(nu, w) for w in sorted(words)}
+    nonzero mass, in sorted word order.
+
+    Read off the orbits directly: one pass over each orbit's cyclic
+    windows (`_window_counts`) gives every such word and its count, so
+    no word is searched for separately.
+    """
+    masses = _window_masses(nu, depth, symbol_cap)
+    return {w: masses[w] for w in sorted(masses)}
 
 
 # ---------------------------------------------------------------------------
@@ -275,6 +318,10 @@ def invariance_check(
     of D, so both sides vanish.  The check therefore enumerates the
     support words of length up to `depth`; the reported count covers the
     whole depth by that argument.
+
+    Both sides come from one window count per orbit at depth + 1: the
+    preimage mass of D is the total mass of the windows sD, which are
+    exactly the windows of length len(D) + 1 whose tail is D.
     """
     if not isinstance(nu, ConvexCombination):
         raise TypeError(
@@ -288,13 +335,16 @@ def invariance_check(
         raise SymbolCapError(
             f"symbol cap {symbol_cap} misses orbit symbol {alphabet[-1]}"
         )
+    masses = _window_masses(nu, depth + 1, symbol_cap)
+    preimage: dict[Word, Fraction] = {}
+    for w, m in masses.items():
+        if len(w) > 1:
+            preimage[w[1:]] = preimage.get(w[1:], 0) + m
+    support = sorted(w for w in masses if len(w) <= depth)
     defects = []
-    support = support_table(nu, depth, symbol_cap)
-    for word, value in support.items():
-        pre = sum(
-            (combo_of_cylinder(nu, (s,) + word) for s in alphabet),
-            Fraction(0),
-        )
+    for word in support:
+        value = masses[word]
+        pre = preimage.get(word, Fraction(0))
         if value != pre:
             defects.append((word, abs(value - pre)))
     max_defect = max((d for _, d in defects), default=Fraction(0))
@@ -311,13 +361,42 @@ def invariance_check(
 # canonical cylinder enumeration and the metric d
 
 
-def _compositions(total: int, parts: int) -> Iterator[Word]:
-    if parts == 1:
-        yield (total,)
+def _words_of(spec: ShiftSpec, total: int, length: int) -> Iterator[Word]:
+    """Admissible words of `length` symbols summing to `total`, in
+    lexicographic order, by DFS along successor rows.
+
+    Every position still to fill needs at least 1 of the remaining sum,
+    so with r positions left the next symbol is at most rem - (r - 1),
+    and the row of the last placed symbol is read only up to there.  The
+    final symbol is the remainder itself and costs one oracle call.
+    """
+    top = spec.alphabet_size
+    if length == 1:
+        if top is None or total <= top:
+            yield (total,)
         return
-    for first in range(1, total - parts + 2):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+    first = total - length + 1
+    if top is not None:
+        first = min(first, top)
+    word: list[int] = []
+    rem = total
+    rows = [iter(range(1, first + 1))]  # rows[i] proposes word[i]
+    while rows:
+        x = next(rows[-1], None)
+        if x is None:
+            rows.pop()
+            if word:
+                rem += word.pop()
+            continue
+        rem -= x
+        after = length - len(word) - 1  # positions left after x
+        if after == 1:
+            if spec.is_allowed(x, rem):
+                yield (*word, x, rem)
+            rem += x
+        else:
+            word.append(x)
+            rows.append(successor_iter(spec, x, rem - (after - 1)))
 
 
 def canonical_cylinder_iter(spec: ShiftSpec) -> Iterator[Word]:
@@ -326,19 +405,45 @@ def canonical_cylinder_iter(spec: ShiftSpec) -> Iterator[Word]:
     Order: ascending symbol sum; within a sum, shorter words first; then
     lexicographic.  This is a bijective enumeration of the admissible
     cylinders, fixed once so that metric values are reproducible.
+
+    Words are generated, not filtered: each (sum, length) class is a DFS
+    along successor rows pruned by the remaining sum (`_words_of`), so
+    the cost follows the words yielded and the rows read rather than the
+    2^(sum-1) compositions of each sum.  Admissibility is prefix-closed
+    and symbols are positive, so a word of length r > 1 extends a word
+    of smaller sum; lengths beyond the longest word yet yielded plus one
+    are skipped.  With a finite alphabet A a word of length r has sum at
+    most A*r, so lengths below ceil(sum / A) are skipped too.  When that
+    leaves no length at all the language is finite (no word is longer
+    than the longest yielded, and all of those have smaller sums), and
+    the iterator ends.  Otherwise it is infinite.
     """
-    size = 1
+    top = spec.alphabet_size
+    longest = 0
+    total = 0
     while True:
-        for length in range(1, size + 1):
-            for word in _compositions(size, length):
-                if is_admissible(spec, word):
-                    yield word
-        size += 1
+        total += 1
+        shortest = 1 if top is None else -(-total // top)
+        if shortest > longest + 1:
+            return
+        for length in range(shortest, longest + 2):
+            for word in _words_of(spec, total, length):
+                longest = max(longest, length)
+                yield word
 
 
 def canonical_cylinders(spec: ShiftSpec, count: int) -> list[Word]:
-    it = canonical_cylinder_iter(spec)
-    return [next(it) for _ in range(count)]
+    """The first `count` canonical cylinders.
+
+    Raises ValueError when the shift has fewer admissible cylinders.
+    """
+    words = list(itertools.islice(canonical_cylinder_iter(spec), count))
+    if len(words) < count:
+        raise ValueError(
+            f"{spec.name} has only {len(words)} admissible cylinders; "
+            f"{count} were asked for"
+        )
+    return words
 
 
 def canonical_cylinder(spec: ShiftSpec, index: int) -> Word:
@@ -366,17 +471,20 @@ def metric_d(a, b, N: int, spec: ShiftSpec) -> tuple[Fraction, Fraction]:
     """Bracket for d(a, b) = sum_n 2^-n |a(C_n) - b(C_n)|.
 
     The lower bound is the exact partial sum over the first N canonical
-    cylinders; the upper bound adds the tail bound 2^-N.
+    cylinders; the upper bound adds the tail bound 2^-N.  Cylinders on
+    which both sides agree (on a sparse shift most have mass 0 on both)
+    add nothing and cost no Fraction arithmetic.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
     ev_a = _cylinder_evaluator(a)
     ev_b = _cylinder_evaluator(b)
     lower = Fraction(0)
-    it = canonical_cylinder_iter(spec)
-    for n in range(1, N + 1):
-        word = next(it)
-        lower += Fraction(1, 2**n) * abs(ev_a(word, n) - ev_b(word, n))
+    for n, word in enumerate(canonical_cylinders(spec, N), start=1):
+        va = ev_a(word, n)
+        vb = ev_b(word, n)
+        if va != vb:
+            lower += Fraction(1, 2**n) * abs(va - vb)
     return lower, lower + Fraction(1, 2**N)
 
 

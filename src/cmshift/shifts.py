@@ -343,7 +343,9 @@ class _LoopFamily:
         self._max_len = max_len  # largest n with count(n) > 0, if known
         self._bases = [0, 0, 2]  # _bases[n] = first intermediate symbol for length-n loops (n >= 2)
         self._top = 2
-        self._grow = threading.Lock()  # the lazy block table is shared state
+        # the lazy block table is shared state; `decode` holds the lock
+        # across its reads and calls `base`, hence re-entrant
+        self._grow = threading.RLock()
 
     def count(self, n: int) -> int:
         if n < 1 or (self._max_len is not None and n > self._max_len):
@@ -366,19 +368,20 @@ class _LoopFamily:
         """(n, j, pos) for an intermediate symbol, None if not in the graph."""
         if s < 2:
             return None
-        flat = 0  # consecutive zero-count extensions; bail on a dead tail
-        while self._bases[self._top] <= s:
-            if self._max_len is not None and self._top > self._max_len:
-                break
-            before = self._bases[self._top]
-            self.base(self._top + 1)
-            flat = flat + 1 if self._bases[self._top] == before else 0
-            if flat > 100_000:
+        with self._grow:
+            flat = 0  # consecutive zero-count extensions; bail on a dead tail
+            while self._bases[self._top] <= s:
+                if self._max_len is not None and self._top > self._max_len:
+                    break
+                before = self._bases[self._top]
+                self.base(self._top + 1)
+                flat = flat + 1 if self._bases[self._top] == before else 0
+                if flat > 100_000:
+                    return None
+            n = bisect_right(self._bases, s, lo=2, hi=self._top + 1) - 1
+            if n < 2:
                 return None
-        n = bisect_right(self._bases, s, lo=2, hi=self._top + 1) - 1
-        if n < 2:
-            return None
-        lo = self._bases[n]
+            lo = self._bases[n]
         if s >= lo + self.count(n) * (n - 1):
             return None
         off = s - lo
@@ -420,14 +423,21 @@ class _LoopFamily:
         return iter((i + 1,)) if pos < n - 1 else iter((1,))
 
     def interior_path(self, k: int, min_interior: int, symbol_cap: int) -> Word | None:
-        """Word (1, chain, 1) whose interior avoids symbols <= k."""
+        """Word (1, chain, 1) whose interior avoids symbols <= k.
+
+        A length-n chain starts at or above max(base(n), k + 1) and spans
+        n - 1 symbols; both grow with n, so once that span passes
+        `symbol_cap` no longer chain fits either.
+        """
         n = max(2, min_interior + 1)
         for _ in range(200_000):
             if self._max_len is not None and n > self._max_len:
                 return None
+            b = self.base(n)
+            if max(b, k + 1) + n - 2 > symbol_cap:
+                return None
             c = self.count(n)
             if c:
-                b = self.base(n)
                 j = 1
                 if b < k + 1:
                     j = 1 + -(-(k + 1 - b) // (n - 1))

@@ -31,6 +31,7 @@ from .measures import (
     ConvexCombination,
     PeriodicMeasure,
     PeriodicOrbit,
+    canonical_cylinders,
     combo_of_cylinder,
     convex_combination,
     measure_from_cycle,
@@ -474,8 +475,6 @@ def flow_metric_rho(
     cylinders plus the 2^-N tail allowance."""
     if not _same_roof(nu1.roof, nu2.roof):
         raise RoofMismatchError("flow distances require a common roof and cut height")
-    from .measures import canonical_cylinder_iter
-
     tail = Fraction(1, 2**N)
     if nu1 is nu2 or (
         nu1.base is nu2.base and nu1.lam == nu2.lam and nu1.base is not None
@@ -483,9 +482,7 @@ def flow_metric_rho(
         return Fraction(0), tail
     lower = Fraction(0)
     upper = Fraction(0)
-    it = canonical_cylinder_iter(spec)
-    for n in range(1, N + 1):
-        word = next(it)
+    for n, word in enumerate(canonical_cylinders(spec, N), start=1):
         diff = (
             flow_cylinder_mass(nu1, word, prec)
             - flow_cylinder_mass(nu2, word, prec)

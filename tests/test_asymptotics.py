@@ -8,6 +8,8 @@ from cmshift.asymptotics import (
     EscapeSearchError,
     NotEnoughLoopsError,
     SequenceGenerationError,
+    _oscillation,
+    _window,
     classify_limit,
     composite_sequence,
     cylinder_limit,
@@ -27,6 +29,7 @@ from cmshift.measures import (
     fixed_point_measure,
     indicator,
     measure_from_cycle,
+    support_table,
 )
 from cmshift.shifts import SearchCaps, enumerate_loops, finite_full_shift, is_admissible
 
@@ -97,6 +100,73 @@ class TestCylinderLimit:
         report = cylinder_limit(seq, 2, 10, 30, Fraction(1, 1000))
         with pytest.raises(ValueError):
             classify_limit(report, 50, Fraction(1, 1000))
+
+
+    def test_n_max_must_be_positive(self, full):
+        with pytest.raises(ValueError, match="n_max"):
+            cylinder_limit(fixed_point_sequence(full), 1, 4, 0, Fraction(1, 10))
+
+
+def dense_oscillations(traces, window_idx):
+    """Oracle: the former oscillation loop, which reads every window
+    index of every trace (missing ones as 0) plus the final sample."""
+    n_max = window_idx[-1]
+    out = {}
+    for word, sparse in traces.items():
+        vals = [sparse.get(n, Fraction(0)) for n in window_idx]
+        vals.append(sparse.get(n_max, Fraction(0)))
+        out[word] = max(vals) - min(vals)
+    return out
+
+
+def dense_cylinder_limit(seq, depth, symbol_cap, n_max, window=None):
+    """Oracle: the former sampling, with a support table kept per index."""
+    samples = {n: support_table(seq.term(n), depth, symbol_cap) for n in range(1, n_max + 1)}
+    traces = {}
+    for n, table in samples.items():
+        for word, value in table.items():
+            traces.setdefault(word, {})[n] = value
+    window_idx = _window(tuple(range(1, n_max + 1)), window)
+    return samples[n_max], traces, dense_oscillations(traces, window_idx)
+
+
+class TestSparseOscillations:
+    def test_random_sparse_traces(self):
+        rng = random.Random(5)
+        for _ in range(300):
+            n_max = rng.randint(1, 40)
+            window_idx = _window(tuple(range(1, n_max + 1)), rng.choice([None, 1, 2, 7, 50]))
+            traces = {}
+            for word in range(rng.randint(1, 6)):
+                keep = sorted(rng.sample(range(1, n_max + 1), rng.randint(0, n_max)))
+                traces[(word + 1,)] = {
+                    n: Fraction(rng.randint(0, 9), rng.randint(1, 9)) for n in keep
+                }
+            sparse = {w: _oscillation(t, window_idx) for w, t in traces.items()}
+            assert sparse == dense_oscillations(traces, window_idx)
+            assert all(type(v) is Fraction for v in sparse.values())
+
+    @pytest.mark.parametrize("window", [None, 1, 5, 500])
+    def test_cylinder_limit_matches_dense(self, full, window):
+        rng = random.Random(window)
+        terms = [
+            convex_combination(
+                [(Fraction(1, 2), measure_from_cycle(full, (1, rng.randint(2, 9)))),
+                 (Fraction(1, 2), measure_from_cycle(full, (rng.randint(1, 9),)))]
+            )
+            for _ in range(30)
+        ]
+        seqs = [
+            pair_loop_sequence(full, a=1, start=2),
+            fixed_point_sequence(full),
+            sequence_from_measures(terms, "random mixtures"),
+        ]
+        for seq in seqs:
+            report = cylinder_limit(seq, 3, 20, 30, Fraction(1, 1000), window)
+            final, traces, oscillations = dense_cylinder_limit(seq, 3, 20, 30, window)
+            assert list(report.traces.items()) == list(traces.items())
+            assert list(report.oscillations.items()) == list(oscillations.items())
+            assert report.limit_table.entries == {w: v for w, v in final.items() if v}
 
 
 class TestCompositeSequences:

@@ -197,6 +197,22 @@ class TestDriver:
         assert str(missing) in capsys.readouterr().err
         assert not out.exists()
 
+    def test_metric_beyond_a_finite_language_is_config_error(self, tmp_path, capsys):
+        shift = tmp_path / "s.txt"
+        shift.write_text("1: 2\n2:\n")
+        code, out = run_cli(
+            tmp_path, "metric", "d", "--shift-file", str(shift),
+            "--combo-a", "", "--combo-b", "", "--N", "4",
+        )
+        assert code == EXIT_CONFIG
+        assert "only 3 admissible cylinders" in capsys.readouterr().err
+        code, out = run_cli(
+            tmp_path, "metric", "d", "--shift-file", str(shift),
+            "--combo-a", "", "--combo-b", "", "--N", "3",
+        )
+        assert code == EXIT_OK
+        assert read_json(out, "metric_d")["cylinders"] == ["1", "2", "1-2"]
+
     def test_invalid_rational_rejected(self, tmp_path):
         with pytest.raises(SystemExit) as err:
             main([

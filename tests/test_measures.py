@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from cmshift.measures import (
     CylinderFunction,
+    _count_cyclic_occurrences,
     InadmissibleWordError,
     SymbolCapError,
     TailInteractionError,
@@ -15,6 +16,7 @@ from cmshift.measures import (
     UnrepresentedCylinderError,
     additivity_defect,
     c0_conditions_check,
+    canonical_cylinder_iter,
     canonical_cylinders,
     combo_of_cylinder,
     convex_combination,
@@ -29,7 +31,7 @@ from cmshift.measures import (
     periodic_orbit,
     support_table,
 )
-from cmshift.shifts import is_admissible
+from cmshift.shifts import is_admissible, load_shift_text, parse_shift_arg
 from conftest import random_cycle
 
 
@@ -55,6 +57,26 @@ def naive_canonical(spec, count):
                         words.append(word)
         words.sort(key=lambda w: (sum(w), len(w), w))
     return words[:count]
+
+
+def compositions(total, parts):
+    """Every way to write `total` as an ordered sum of `parts` positive parts."""
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(1, total - parts + 2):
+        for rest in compositions(total - first, parts - 1):
+            yield (first,) + rest
+
+
+def generate_and_filter(spec, max_sum):
+    """Oracle: the former enumerator, which tests every composition of
+    each sum (shorter first, lexicographic) for admissibility."""
+    for total in range(1, max_sum + 1):
+        for length in range(1, total + 1):
+            for word in compositions(total, length):
+                if is_admissible(spec, word):
+                    yield word
 
 
 class TestPeriodicOrbits:
@@ -216,6 +238,35 @@ class TestCanonicalEnumeration:
         assert len(set(words)) == 40
 
 
+class TestFiniteLanguage:
+    """Shifts with finitely many admissible words: (1), (2), (1, 2)."""
+
+    @pytest.fixture
+    def dead_end(self):
+        return load_shift_text("1: 2\n2:\n")
+
+    def test_enumeration_ends(self, dead_end):
+        assert list(canonical_cylinder_iter(dead_end)) == [(1,), (2,), (1, 2)]
+
+    def test_all_cylinders_can_be_asked_for(self, dead_end):
+        assert canonical_cylinders(dead_end, 3) == [(1,), (2,), (1, 2)]
+        nu = convex_combination([])
+        assert metric_d(nu, nu, 3, dead_end) == (0, Fraction(1, 8))
+
+    def test_asking_for_more_is_a_value_error(self, dead_end):
+        nu = convex_combination([])
+        with pytest.raises(ValueError, match="only 3 admissible cylinders"):
+            canonical_cylinders(dead_end, 4)
+        with pytest.raises(ValueError, match="only 3 admissible cylinders"):
+            metric_d(nu, nu, 4, dead_end)
+
+    def test_finite_alphabet_with_cycles_never_ends(self):
+        spec = load_shift_text("1: 2\n2: 3\n3: 1\n")
+        words = canonical_cylinders(spec, 20)
+        assert max(map(len, words)) > 3
+        assert words == list(generate_and_filter(spec, sum(words[-1])))[:20]
+
+
 class TestMetricD:
     def test_identical_arguments(self, full):
         nu = convex_combination([(1, measure_from_cycle(full, (1, 2)))])
@@ -370,3 +421,155 @@ class TestC0Conditions:
         rows = dict(report.var_rows)[(1,)]
         assert dict(rows)[1] == 1  # x in [1] may or may not enter [1,3]
         assert dict(rows)[4] == 0  # beyond the extension symbol, constant
+
+
+# ---------------------------------------------------------------------------
+# differential tests of the output-sensitive kernels against the former
+# dense ones, kept here as oracles
+
+
+def per_word_support_table(nu, depth, symbol_cap):
+    """Oracle: the former support table, one cylinder evaluation per word."""
+    words = set()
+    for _, mu in nu.terms:
+        cycle = mu.orbit.cycle
+        T = len(cycle)
+        ext = cycle * ((depth - 1) // T + 2)
+        for j in range(T):
+            for length in range(1, depth + 1):
+                w = tuple(ext[j : j + length])
+                if max(w) <= symbol_cap:
+                    words.add(w)
+    return {w: combo_of_cylinder(nu, w) for w in sorted(words)}
+
+
+def per_word_invariance(nu, depth, symbol_cap):
+    """Oracle: the former invariance check, one cylinder evaluation per
+    preimage symbol."""
+    alphabet = sorted(nu.orbit_symbols)
+    support = per_word_support_table(nu, depth, symbol_cap)
+    defects = []
+    for word, value in support.items():
+        pre = sum(
+            (combo_of_cylinder(nu, (s,) + word) for s in alphabet), Fraction(0)
+        )
+        if value != pre:
+            defects.append((word, abs(value - pre)))
+    max_defect = max((d for _, d in defects), default=Fraction(0))
+    return max_defect, tuple(defects), len(support)
+
+
+ROW_LIST_TEXT = "1: 1 2\n2: 3\n3: 1 4\n4: 2 4\n"
+DEFAULT_FULL_TEXT = "1: 2\n2: 1 3\n3: 1\ndefault full\n"
+
+
+@pytest.fixture(
+    params=[
+        "full", "finite_full:1", "finite_full:2", "finite_full:3", "star",
+        "renewal", "loop_family:linear", "row-list", "default-full",
+    ]
+)
+def gallery_shift(request):
+    if request.param == "row-list":
+        return load_shift_text(ROW_LIST_TEXT)
+    if request.param == "default-full":
+        return load_shift_text(DEFAULT_FULL_TEXT)
+    return parse_shift_arg(request.param)
+
+
+def dfs_up_to_sum(spec, max_sum):
+    return list(
+        itertools.takewhile(
+            lambda w: sum(w) <= max_sum, canonical_cylinder_iter(spec)
+        )
+    )
+
+
+class TestEnumerationDifferential:
+    def test_every_word_up_to_sum_14(self, gallery_shift):
+        assert dfs_up_to_sum(gallery_shift, 14) == list(
+            generate_and_filter(gallery_shift, 14)
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        rows=st.dictionaries(
+            st.integers(1, 5), st.sets(st.integers(1, 5), max_size=5), min_size=1
+        ),
+        default_full=st.booleans(),
+    )
+    def test_random_row_lists(self, rows, default_full):
+        text = "".join(f"{i}: {' '.join(map(str, sorted(r)))}\n" for i, r in rows.items())
+        spec = load_shift_text(text + ("default full\n" if default_full else ""))
+        assert dfs_up_to_sum(spec, 10) == list(generate_and_filter(spec, 10))
+
+    def test_finite_languages_end_exactly(self):
+        # a DAG on five symbols: every word is a path, the heaviest
+        # 1-3-4-5 with sum 13
+        spec = load_shift_text("1: 2 3\n2: 4\n3: 4 5\n4: 5\n5:\n")
+        words = list(canonical_cylinder_iter(spec))
+        assert words == list(generate_and_filter(spec, 16))
+        assert max(map(len, words)) == 4
+
+
+class TestWindowCountDifferential:
+    @pytest.mark.parametrize("shift_name", ["full", "star", "renewal"])
+    def test_support_and_invariance_match_per_word(self, shift_name, request):
+        spec = request.getfixturevalue(shift_name)
+        rng = random.Random(shift_name)
+        for _ in range(40):
+            terms = []
+            weights = [rng.randint(1, 5) for _ in range(rng.randint(1, 3))]
+            for w in weights:
+                cycle = random_cycle(spec, rng, 9, 12)
+                terms.append((Fraction(w, sum(weights)), measure_from_cycle(spec, cycle)))
+            nu = convex_combination(terms)
+            depth = rng.randint(1, 5)
+            cap = rng.randint(1, 14)  # often below the orbit symbols
+            table = support_table(nu, depth, cap)
+            oracle = per_word_support_table(nu, depth, cap)
+            assert list(table.items()) == list(oracle.items())
+            cap = max(cap, max(nu.orbit_symbols))
+            report = invariance_check(nu, depth, cap)
+            assert (report.max_defect, report.defects, report.words_checked) == (
+                per_word_invariance(nu, depth, cap)
+            )
+
+    def test_long_words_wrap_short_cycles(self, full):
+        nu = convex_combination(
+            [
+                (Fraction(1, 3), measure_from_cycle(full, (2,))),
+                (Fraction(2, 3), measure_from_cycle(full, (1, 12, 1, 2))),
+            ]
+        )
+        for depth in (1, 4, 9):
+            assert support_table(nu, depth, 12) == per_word_support_table(nu, depth, 12)
+
+
+class TestCyclicOccurrences:
+    """The comma-delimited string search against a direct scan."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        cycle=st.lists(st.sampled_from([1, 2, 11, 12, 21, 111]), min_size=1, max_size=7),
+        word=st.lists(st.sampled_from([1, 2, 11, 12, 21, 111]), min_size=1, max_size=16),
+    )
+    def test_matches_naive_scan(self, cycle, word):
+        cycle = tuple(cycle)
+        assert Fraction(
+            _count_cyclic_occurrences(cycle, tuple(word)), len(cycle)
+        ) == naive_cyclic_mass(cycle, word)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        cycle=st.lists(st.sampled_from([1, 2, 11, 12, 21, 111]), min_size=1, max_size=7),
+        start=st.integers(0, 6),
+        length=st.integers(1, 16),
+    )
+    def test_windows_of_the_cycle(self, cycle, start, length):
+        cycle = tuple(cycle)
+        ext = cycle * (length // len(cycle) + 3)
+        word = ext[start % len(cycle) :][:length]
+        count = _count_cyclic_occurrences(cycle, word)
+        assert count >= 1
+        assert Fraction(count, len(cycle)) == naive_cyclic_mass(cycle, word)

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cmshift.asymptotics import EscapeSearchError, escape_sequence
 from cmshift.shifts import (
     SearchCaps,
     check_shift,
@@ -191,6 +192,25 @@ class TestBuiltinsAndLoaders:
         assert w[0] == w[-1] == 1 and len(w) == 1000
         assert min(w[1:-1]) > 10
         assert is_admissible(fam_linear, w)
+
+    def test_interior_path_stops_at_symbol_cap(self):
+        # no chain of 299 symbols above 3 fits under 600, and bases only
+        # grow, so the search must stop without extending the block table
+        spec = parse_shift_arg("loop_family:linear")
+        fam = spec.interior_path_hint.__self__
+        assert spec.interior_path_hint(3, 298, 600) is None
+        assert len(fam._bases) < 1000
+        with pytest.raises(EscapeSearchError, match="symbol cap 600, node budget 500000"):
+            escape_sequence(spec, 3, 300, SearchCaps(symbol_cap=600))
+        assert len(fam._bases) < 1000
+
+    def test_interior_path_unchanged_below_cap(self, fam_linear):
+        # the first fitting chain is the same whether the cap binds or not
+        for k, m in ((3, 10), (10, 40), (50, 7)):
+            loose = fam_linear.interior_path_hint(k, m, 10**12)
+            top = max(loose)
+            assert fam_linear.interior_path_hint(k, m, top) == loose
+            assert fam_linear.interior_path_hint(k, m, top - 1) != loose
 
     def test_text_loader_rows(self):
         spec = load_shift_text("1: 1 2\n2: 1\n")
