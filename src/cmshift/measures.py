@@ -243,38 +243,32 @@ def combo_of_cylinder(nu: ConvexCombination, word: Iterable[int]) -> Fraction:
     return total
 
 
-def _window_counts(cycle: Word, depth: int, symbol_cap: int) -> dict[Word, int]:
-    """Occurrences of every cyclic window of length <= depth whose
-    symbols are all <= symbol_cap.
-
-    Each start j in [0, period) extends its window one symbol at a time
-    and stops at the first symbol over the cap, so one orbit costs
-    O(period * depth) window steps however many words it carries.
-    """
-    T = len(cycle)
-    ext = cycle * ((depth - 1) // T + 2)
-    counts: dict[Word, int] = {}
-    for j in range(T):
-        for end in range(j, j + depth):
-            if ext[end] > symbol_cap:
-                break
-            w = ext[j : end + 1]
-            counts[w] = counts.get(w, 0) + 1
-    return counts
-
-
 def _window_masses(
     nu: ConvexCombination, depth: int, symbol_cap: int
 ) -> dict[Word, Fraction]:
-    """Exact combination mass of every window that `_window_counts` finds.
+    """Exact combination mass of every cyclic window of length <= depth
+    whose symbols are all <= symbol_cap.
 
-    A word that is no window of an orbit has mass 0 under it, so these
-    are the nonzero values of `combo_of_cylinder` on those words.
+    Each start j in [0, period) of an orbit extends its window one symbol
+    at a time and stops at the first symbol over the cap, so one orbit
+    costs O(period * depth) integer window counts, scaled to a mass once
+    per distinct word, however many words it carries.  A word that is no
+    window of an orbit has mass 0 under it, so these are the nonzero
+    values of `combo_of_cylinder` on those words.
     """
     masses: dict[Word, Fraction] = {}
     for wt, mu in nu.terms:
-        T = mu.period
-        for w, c in _window_counts(mu.orbit.cycle, depth, symbol_cap).items():
+        cycle = mu.orbit.cycle
+        T = len(cycle)
+        ext = cycle * ((depth - 1) // T + 2)
+        counts: dict[Word, int] = {}
+        for j in range(T):
+            for end in range(j, j + depth):
+                if ext[end] > symbol_cap:
+                    break
+                w = ext[j : end + 1]
+                counts[w] = counts.get(w, 0) + 1
+        for w, c in counts.items():
             masses[w] = masses.get(w, 0) + wt * Fraction(c, T)
     return masses
 
@@ -286,7 +280,7 @@ def support_table(
     nonzero mass, in sorted word order.
 
     Read off the orbits directly: one pass over each orbit's cyclic
-    windows (`_window_counts`) gives every such word and its count, so
+    windows (`_window_masses`) gives every such word and its mass, so
     no word is searched for separately.
     """
     masses = _window_masses(nu, depth, symbol_cap)
