@@ -14,8 +14,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
+from collections.abc import Iterable, Iterator
 from fractions import Fraction
 from pathlib import Path
 
@@ -117,7 +119,7 @@ def _write_report(args, name: str, payload: dict) -> Path:
     return path
 
 
-def _write_csv(args, name: str, header: list[str], rows: list[list]) -> Path:
+def _write_csv(args, name: str, header: list[str], rows: Iterable[list]) -> Path:
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     path = out / f"{name}.csv"
@@ -132,14 +134,18 @@ def _word_str(word) -> str:
     return "-".join(str(s) for s in word)
 
 
-def _trace_rows(report) -> list[list]:
-    rows = []
+def _trace_rows(report) -> Iterator[list]:
+    """The dense words x n trace, streamed; a sample missing from a
+    sparse trace is the value 0."""
     for word in sorted(report.traces):
+        label = _word_str(word)
         sparse = report.traces[word]
         for n in report.sample_indices:
-            v = sparse.get(n, Fraction(0))
-            rows.append([n, _word_str(word), v.numerator, v.denominator, float(v)])
-    return rows
+            v = sparse.get(n)
+            if v is None:
+                yield [n, label, 0, 1, 0.0]
+            else:
+                yield [n, label, v.numerator, v.denominator, float(v)]
 
 
 # ---------------------------------------------------------------------------
@@ -643,9 +649,19 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
+    """Run one verb and return its exit code.
+
+    The argument parser is built on the first call and reused by every
+    later call in the same process; parsing leaves no state in it.
+    """
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
+    parser = _parser()
     if argv and argv[0] == "run":
         ns = parser.parse_args(argv)
         try:

@@ -461,7 +461,12 @@ def flow_cylinder_mass(
 
 
 def _same_roof(r1: RoofFunction, r2: RoofFunction) -> bool:
-    return r1 is r2 or (r1.name == r2.name and r1.floor == r2.floor)
+    """Structural equality; the name is only a label."""
+
+    def key(r: RoofFunction) -> tuple:
+        return (r.depth, None if r.tail is None else r.tail.name, r.floor, r.var2_bound)
+
+    return r1 is r2 or (key(r1) == key(r2) and r1.table == r2.table)
 
 
 def flow_metric_rho(
@@ -477,7 +482,10 @@ def flow_metric_rho(
         raise RoofMismatchError("flow distances require a common roof and cut height")
     tail = Fraction(1, 2**N)
     if nu1 is nu2 or (
-        nu1.base is nu2.base and nu1.lam == nu2.lam and nu1.base is not None
+        nu1.base is nu2.base
+        and nu1.base is not None
+        and nu1.lam == nu2.lam
+        and nu1.integral == nu2.integral
     ) or (nu1.is_zero and nu2.is_zero):
         return Fraction(0), tail
     lower = Fraction(0)
@@ -501,11 +509,11 @@ def flow_metric_rho(
 class FlowLimitReport:
     verdict: str  # "zero flow limit" | "flow limit with mass lambda" | "undetermined"
     integral_trace: tuple[LogLinear, ...]
-    lam: Interval | None
-    limit_integral: LogLinear | None
-    base_report: object
-    base_mass_is_one: bool | None
     params: dict
+    lam: Interval | None = None
+    limit_integral: LogLinear | None = None
+    base_report: object = None
+    base_mass_is_one: bool | None = None
 
     def to_jsonable(self) -> dict:
         return {
@@ -552,10 +560,7 @@ def flow_limit_analyze(
     lambda = (integral of the base limit) / (limit of the integrals).
     """
     tol = Fraction(tol)
-    integrals = []
-    for n in range(1, n_max + 1):
-        combo = seq.term(n)
-        integrals.append(roof_integral(roof, combo))
+    integrals = tuple(roof_integral(roof, seq.term(n)) for n in range(1, n_max + 1))
     window = integrals[max(0, n_max - max(2, n_max // 4)) :]
     params = {
         "n_max": n_max,
@@ -569,15 +574,7 @@ def flow_limit_analyze(
     increasing = all(b > a for a, b in zip(window, window[1:]))
     doubled = integrals[-1] >= 2 * integrals[0]
     if increasing and doubled:
-        return FlowLimitReport(
-            verdict="zero flow limit",
-            integral_trace=tuple(integrals),
-            lam=None,
-            limit_integral=None,
-            base_report=None,
-            base_mass_is_one=None,
-            params=params,
-        )
+        return FlowLimitReport("zero flow limit", integrals, params)
 
     w_min, w_max = window[0], window[0]
     for v in window[1:]:
@@ -588,28 +585,14 @@ def flow_limit_analyze(
     osc = w_max - w_min
     rel_cap = tol * w_max  # oscillation small relative to the window scale
     if not (osc <= rel_cap):
-        return FlowLimitReport(
-            verdict="undetermined",
-            integral_trace=tuple(integrals),
-            lam=None,
-            limit_integral=None,
-            base_report=None,
-            base_mass_is_one=None,
-            params=params,
-        )
+        return FlowLimitReport("undetermined", integrals, params)
 
     base_report = cylinder_limit(seq, depth, symbol_cap, n_max, tol)
     mass_lo = base_report.mass_bracket[0]
     base_is_prob = mass_lo >= 1 - tol
     if not base_is_prob:
         return FlowLimitReport(
-            verdict="undetermined",
-            integral_trace=tuple(integrals),
-            lam=None,
-            limit_integral=None,
-            base_report=base_report,
-            base_mass_is_one=False,
-            params=params,
+            "undetermined", integrals, params, base_report=base_report, base_mass_is_one=False
         )
     limit_integral = _limit_table_integral(roof, base_report.limit_table)
     li = limit_integral.eval_interval(prec)
@@ -617,13 +600,13 @@ def flow_limit_analyze(
     lim_hi = w_max.eval_interval(prec)
     lam = Interval(li.lo, li.hi).div_pos(Interval(lim_lo.lo, lim_hi.hi))
     return FlowLimitReport(
-        verdict="flow limit with mass lambda",
-        integral_trace=tuple(integrals),
+        "flow limit with mass lambda",
+        integrals,
+        params,
         lam=lam,
         limit_integral=limit_integral,
         base_report=base_report,
         base_mass_is_one=mass_lo == 1,
-        params=params,
     )
 
 

@@ -1,9 +1,12 @@
 import csv
+import io
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from cmshift import cli
 from cmshift.cli import EXIT_CONFIG, EXIT_EXHAUSTED, EXIT_OK, main
 
 
@@ -228,3 +231,107 @@ class TestDriver:
         )
         header = read_csv(out, "nonf_demo")[0]
         assert header == ["n", "cylinder", "numerator", "denominator", "value_display"]
+
+
+def dense_trace_rows(report) -> list[list]:
+    """Oracle: every row of the words x n trace, built in memory."""
+    rows = []
+    for word in sorted(report.traces):
+        sparse = report.traces[word]
+        for n in report.sample_indices:
+            v = sparse.get(n, Fraction(0))
+            rows.append([n, cli._word_str(word), v.numerator, v.denominator, float(v)])
+    return rows
+
+
+class TestStreamedTrace:
+    @pytest.mark.parametrize("argv", [
+        ["--shift", "full", "--seq", "pair-loops", "--n-max", "200", "--symbol-cap", "200"],
+        ["--shift", "full", "--seq", "point-masses", "--n-max", "6", "--symbol-cap", "8"],
+    ])
+    def test_csv_matches_dense_oracle(self, tmp_path, monkeypatch, argv):
+        reports = []
+
+        def recording(*a, **kw):
+            reports.append(limit(*a, **kw))
+            return reports[-1]
+
+        limit = cli.cylinder_limit
+        monkeypatch.setattr(cli, "cylinder_limit", recording)
+        code, out = run_cli(tmp_path, "converge", "trace", *argv)
+        assert code == EXIT_OK
+        (report,) = reports
+        assert any(len(t) < len(report.sample_indices) for t in report.traces.values())
+        expected = io.StringIO(newline="")
+        writer = csv.writer(expected)
+        writer.writerow(["n", "cylinder", "numerator", "denominator", "value_display"])
+        writer.writerows(dense_trace_rows(report))
+        assert (out / "converge_trace.csv").read_bytes() == expected.getvalue().encode()
+
+
+@pytest.fixture
+def fresh_parser():
+    cli._parser.cache_clear()
+    yield
+    cli._parser.cache_clear()
+
+
+VERBS = [
+    ["shift", "info", "--shift", "star"],
+    ["orbit", "enum", "--shift", "finite_full:2", "--a", "1", "--n", "3"],
+    ["measure", "invariance", "--combo", "1/3:(1,2,3);1/3:(2)"],
+    ["metric", "d", "--combo-a", "1:(1)", "--combo-b", "1:(2)", "--N", "3"],
+    ["converge", "classify", "--seq", "point-masses", "--n-max", "8"],
+    ["entropy", "--shift", "finite_full:2", "--a", "1", "--n", "1..4"],
+    ["flow", "classr", "--roof", "const:3"],
+]
+
+
+def outputs(out: Path) -> dict[str, bytes]:
+    return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+
+@pytest.mark.usefixtures("fresh_parser")
+class TestParserReuse:
+    def test_verbs_match_a_fresh_parser(self, tmp_path, monkeypatch):
+        shared = [run_cli(tmp_path / f"shared{i}", *argv) for i, argv in enumerate(VERBS)]
+        monkeypatch.setattr(cli, "_parser", cli.build_parser)
+        for i, argv in enumerate(VERBS):
+            code, out = run_cli(tmp_path / f"fresh{i}", *argv)
+            assert code == shared[i][0] == EXIT_OK
+            assert outputs(out) == outputs(shared[i][1])
+
+    def test_rejections_and_run_leak_no_state(self, tmp_path):
+        good = ["measure", "invariance", "--combo", "1/3:(1,2,3);1/3:(2)"]
+        code, first = run_cli(tmp_path / "first", *good)
+        assert code == EXIT_OK
+        with pytest.raises(SystemExit) as err:  # --combo is required
+            main(["measure", "invariance", "--depth", "5", "--symbol-cap", "7"])
+        assert err.value.code == EXIT_CONFIG
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"argv": [
+            *good, "--depth", "4", "--out-dir", str(tmp_path / "run"),
+        ]}))
+        assert main(["run", str(config)]) == EXIT_OK
+        assert read_json(tmp_path / "run", "measure_invariance")["config"]["depth"] == 4
+        code, second = run_cli(tmp_path / "second", *good)
+        assert code == EXIT_OK
+        assert outputs(second) == outputs(first)
+        echo = read_json(second, "measure_invariance")["config"]
+        assert echo == {
+            "combo": "1/3:(1,2,3);1/3:(2)", "command": "measure", "depth": 3,
+            "seed": 0, "shift": "full", "sub": "invariance", "symbol_cap": 1000,
+        }
+
+    def test_parser_is_built_once(self, tmp_path, monkeypatch):
+        built = []
+
+        def spy():
+            built.append(1)
+            return build()
+
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", spy)
+        for i, argv in enumerate(VERBS * 2):
+            assert run_cli(tmp_path / str(i), *argv)[0] == EXIT_OK
+        assert len(built) == 1

@@ -277,6 +277,38 @@ class TestFlowMetric:
         with pytest.raises(RoofMismatchError):
             flow_metric_rho(nu1, nu2, 4, full)
 
+    def test_default_named_roofs_compared_by_structure(self, full):
+        # both files get the default name; the flow mass of [1] is 1/6
+        # under the tabulated roof and 1/2 under the constant one
+        tabled = parse_roof_text("table 1 : 5\ntail const 1\nc 1\n")
+        plain = parse_roof_text("tail const 1\nc 1\n")
+        assert tabled.name == plain.name
+        half = Fraction(1, 2)
+        base = convex_combination(
+            [(half, fixed_point_measure(full, 1)), (half, fixed_point_measure(full, 2))]
+        )
+        nu1, nu2 = kac_lift(base, tabled), kac_lift(base, plain)
+        assert flow_cylinder_mass(nu1, (1,)).lo == Fraction(1, 6)
+        assert flow_cylinder_mass(nu2, (1,)).lo == half
+        with pytest.raises(RoofMismatchError):
+            flow_metric_rho(nu1, nu2, 4, full)
+
+    def test_structurally_equal_roofs_are_one_roof(self, full):
+        base = convex_combination([(1, fixed_point_measure(full, 1))])
+        other = kac_lift(convex_combination([(1, fixed_point_measure(full, 2))]), log1p_roof())
+        named = kac_lift(base, log1p_roof())
+        parsed = kac_lift(base, parse_roof_text("tail log1p\nc log:2\n"))
+        assert flow_metric_rho(parsed, other, 6, full) == flow_metric_rho(named, other, 6, full)
+        assert flow_metric_rho(parsed, named, 6, full) == (0, Fraction(1, 2**6))
+
+    def test_shared_base_needs_equal_integrals(self, full):
+        roof = constant_roof(1)
+        base = convex_combination([(1, fixed_point_measure(full, 1))])
+        nu = kac_lift(base, roof)
+        doubled = FlowMeasure(roof, base, nu.integral + nu.integral, Fraction(1))
+        # [1] carries flow mass 1 against 1/2: term 1/2 * 1/2, tail 1/2
+        assert flow_metric_rho(nu, doubled, 1, full) == (Fraction(1, 4), Fraction(3, 4))
+
     def test_uppers_fall_while_integrals_rise_on_star(self, star):
         # consecutive (1, n) orbits: integrals strictly increase while the
         # distance-to-zero upper bounds never do
