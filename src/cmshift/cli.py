@@ -25,6 +25,7 @@ from . import __version__
 from .asymptotics import (
     EscapeSearchError,
     NotEnoughLoopsError,
+    SequenceGenerationError,
     classify_limit,
     cylinder_limit,
     escape_sequence,
@@ -676,7 +677,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, argparse.ArgumentTypeError) as exc:
+    except (ValueError, argparse.ArgumentTypeError, SequenceGenerationError) as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (EscapeSearchError, NotEnoughLoopsError, FlowEscapeError, ApproximationError) as exc:

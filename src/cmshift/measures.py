@@ -11,11 +11,13 @@ enumeration of admissible cylinders.
 from __future__ import annotations
 
 import itertools
+import threading
 import warnings
+import weakref
+from collections import Counter
 from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from numbers import Rational
 
 from .shifts import (
@@ -44,6 +46,7 @@ __all__ = [
     "convex_combination",
     "measure_of_cylinder",
     "combo_of_cylinder",
+    "cylinder_masses",
     "support_table",
     "invariance_check",
     "canonical_cylinders",
@@ -150,44 +153,29 @@ def fixed_point_measure(spec: ShiftSpec, symbol: int) -> PeriodicMeasure:
     return measure_from_cycle(spec, (symbol,))
 
 
-@lru_cache(maxsize=256)
-def _cycle_text(cycle: Word) -> tuple[str, tuple[int, ...]]:
-    """Doubled cycle as a comma-delimited string plus symbol offsets."""
-    doubled = cycle + cycle
-    text = "," + ",".join(map(str, doubled)) + ","
-    offsets = []
-    pos = 1
-    for s in doubled:
-        offsets.append(pos)
-        pos += len(str(s)) + 1
-    return text, tuple(offsets)
+def _cyclic_window_counts(cycle: Word, length: int) -> Counter[Word]:
+    """How often each word of `length` symbols is read cyclically from a
+    start j in [0, period).
 
-
-def _count_cyclic_occurrences(cycle: Word, word: Word) -> int:
-    """Number of j in [0, period) where the cyclic read from j begins with word."""
+    One C-level count over `length` shifted slices of the cycle repeated
+    far enough to wrap: O(period * length) whatever the symbols are.
+    """
     T = len(cycle)
-    if len(word) <= T + 1:
-        text, offsets = _cycle_text(cycle)
-        pattern = "," + ",".join(map(str, word)) + ","
-        boundary = offsets[T - 1]
-        count = 0
-        pos = text.find(pattern)
-        while pos != -1 and pos < boundary:
-            count += 1
-            pos = text.find(pattern, pos + 1)
-        return count
-    reps = (len(word) - 1) // T + 2
-    ext = cycle * reps
-    return sum(1 for j in range(T) if ext[j : j + len(word)] == word)
+    ext = cycle * ((length - 1) // T + 2)
+    return Counter(zip(*[ext[i : i + T] for i in range(length)]))
 
 
 def measure_of_cylinder(mu: PeriodicMeasure, word: Iterable[int]) -> Fraction:
-    """Exact mass of the cylinder of `word`: cyclic occurrences over period."""
+    """Exact mass of the cylinder of `word`: cyclic occurrences over period.
+
+    A one-length query of the window count that `cylinder_masses` reads
+    for every length at once.
+    """
     w = tuple(word)
     if not w:
         raise ValueError("cylinder words are nonempty")
     cycle = mu.orbit.cycle
-    return Fraction(_count_cyclic_occurrences(cycle, w), len(cycle))
+    return Fraction(_cyclic_window_counts(cycle, len(w))[w], len(cycle))
 
 
 # ---------------------------------------------------------------------------
@@ -241,6 +229,31 @@ def combo_of_cylinder(nu: ConvexCombination, word: Iterable[int]) -> Fraction:
         if m:  # most cylinders miss most orbits
             total += wt * m
     return total
+
+
+def cylinder_masses(
+    nu: ConvexCombination | PeriodicMeasure, words: list[Word]
+) -> list[Fraction]:
+    """Exact masses of the cylinders of `words`, in order.
+
+    Each orbit is counted once per distinct word length among `words`
+    (`_cyclic_window_counts`) and each word is then one lookup per
+    orbit, so no word is searched for in a cycle.  The values equal
+    `combo_of_cylinder` (or `measure_of_cylinder`) word by word.
+    """
+    terms = nu.terms if isinstance(nu, ConvexCombination) else ((1, nu),)
+    lengths = {len(w) for w in words}
+    if 0 in lengths:
+        raise ValueError("cylinder words are nonempty")
+    masses = [Fraction(0)] * len(words)
+    for wt, mu in terms:
+        cycle = mu.orbit.cycle
+        counts = {r: _cyclic_window_counts(cycle, r) for r in lengths}
+        for n, w in enumerate(words):
+            c = counts[len(w)].get(w)
+            if c:
+                masses[n] += wt * Fraction(c, len(cycle))
+    return masses
 
 
 def _window_masses(
@@ -426,12 +439,53 @@ def canonical_cylinder_iter(spec: ShiftSpec) -> Iterator[Word]:
                 yield word
 
 
+class _Prefix:
+    """The canonical cylinders of one shift enumerated so far, and the
+    enumeration that extends them."""
+
+    __slots__ = ("words", "rest", "lock", "spec")
+
+    def __init__(self, spec: ShiftSpec):
+        # the enumeration reads the shift through a proxy: a strong
+        # reference from the memo's value would keep its key alive
+        self.spec = weakref.proxy(spec)
+        self.words: list[Word] = []
+        self.rest = canonical_cylinder_iter(self.spec)
+        self.lock = threading.Lock()
+
+    def take(self, count: int) -> list[Word]:
+        with self.lock:
+            missing = count - len(self.words)
+            if missing > 0:
+                try:
+                    self.words.extend(itertools.islice(self.rest, missing))
+                except BaseException:
+                    # a generator that raised is spent; start over next time
+                    self.words = []
+                    self.rest = canonical_cylinder_iter(self.spec)
+                    raise
+            return self.words[:count]
+
+
+_prefixes: weakref.WeakKeyDictionary[ShiftSpec, _Prefix] = weakref.WeakKeyDictionary()
+_prefixes_lock = threading.Lock()
+
+
 def canonical_cylinders(spec: ShiftSpec, count: int) -> list[Word]:
-    """The first `count` canonical cylinders.
+    """The first `count` canonical cylinders, as a new list.
+
+    The enumeration runs once per `ShiftSpec` object: each spec has a
+    prefix that grows on demand (under a lock) and is freed with the
+    spec, so repeated and growing requests read what earlier ones
+    generated.  Specs are told apart by identity, never by name.
 
     Raises ValueError when the shift has fewer admissible cylinders.
     """
-    words = list(itertools.islice(canonical_cylinder_iter(spec), count))
+    with _prefixes_lock:
+        prefix = _prefixes.get(spec)
+        if prefix is None:
+            prefix = _prefixes[spec] = _Prefix(spec)
+    words = prefix.take(count)
     if len(words) < count:
         raise ValueError(
             f"{spec.name} has only {len(words)} admissible cylinders; "
@@ -446,18 +500,23 @@ def canonical_cylinder(spec: ShiftSpec, index: int) -> Word:
     return canonical_cylinders(spec, index)[-1]
 
 
-def _cylinder_evaluator(obj):
-    if isinstance(obj, ConvexCombination):
-        return lambda word, index: combo_of_cylinder(obj, word)
-    if isinstance(obj, PeriodicMeasure):
-        return lambda word, index: measure_of_cylinder(obj, word)
+def _cylinder_values(obj, words: list[Word]) -> Iterable[Fraction]:
+    """Values of a measure or a cylinder table on `words`, in order.
+
+    Measures give their whole mass vector at once.  Tables are read
+    lazily, word by word, so the first unrepresented word raises with
+    its canonical index.
+    """
+    if isinstance(obj, (ConvexCombination, PeriodicMeasure)):
+        return cylinder_masses(obj, words)
     if isinstance(obj, CylinderFunction):
-        def eval_table(word, index):
-            try:
-                return obj.value(word)
-            except UnrepresentedCylinderError:
-                raise UnrepresentedCylinderError(word, index) from None
-        return eval_table
+        def table_values():
+            for n, word in enumerate(words, start=1):
+                try:
+                    yield obj.value(word)
+                except UnrepresentedCylinderError:
+                    raise UnrepresentedCylinderError(word, n) from None
+        return table_values()
     raise TypeError(f"cannot evaluate cylinders of {type(obj).__name__}")
 
 
@@ -465,18 +524,19 @@ def metric_d(a, b, N: int, spec: ShiftSpec) -> tuple[Fraction, Fraction]:
     """Bracket for d(a, b) = sum_n 2^-n |a(C_n) - b(C_n)|.
 
     The lower bound is the exact partial sum over the first N canonical
-    cylinders; the upper bound adds the tail bound 2^-N.  Cylinders on
-    which both sides agree (on a sparse shift most have mass 0 on both)
-    add nothing and cost no Fraction arithmetic.
+    cylinders; the upper bound adds the tail bound 2^-N.  The cylinders
+    come from the shift's memoised canonical prefix, and a measure's
+    masses on all N of them from one window count per orbit and word
+    length (`cylinder_masses`).  Cylinders on which both sides agree (on
+    a sparse shift most have mass 0 on both) add nothing and cost no
+    Fraction arithmetic.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
-    ev_a = _cylinder_evaluator(a)
-    ev_b = _cylinder_evaluator(b)
+    words = canonical_cylinders(spec, N)
     lower = Fraction(0)
-    for n, word in enumerate(canonical_cylinders(spec, N), start=1):
-        va = ev_a(word, n)
-        vb = ev_b(word, n)
+    pairs = zip(_cylinder_values(a, words), _cylinder_values(b, words))
+    for n, (va, vb) in enumerate(pairs, start=1):
         if va != vb:
             lower += Fraction(1, 2**n) * abs(va - vb)
     return lower, lower + Fraction(1, 2**N)

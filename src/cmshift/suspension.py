@@ -34,6 +34,7 @@ from .measures import (
     canonical_cylinders,
     combo_of_cylinder,
     convex_combination,
+    cylinder_masses,
     measure_from_cycle,
     metric_d,
 )
@@ -441,23 +442,39 @@ def kac_project(nu: FlowMeasure) -> tuple[ConvexCombination | None, Fraction]:
     return nu.base, nu.lam
 
 
+def _kac_brackets(
+    nu: FlowMeasure, base_masses: Iterable[Fraction], prec: int
+) -> list[Interval]:
+    """Brackets lam*c*m/I for each base mass m of a nonzero flow measure.
+
+    Rational c and I give exact points.  Otherwise c and I are evaluated
+    to intervals once, on the first nonzero mass, and every bracket is
+    the same directed quotient of those two intervals.
+    """
+    c, integral = nu.roof.floor, nu.integral
+    exact = c.is_rational and integral.is_rational
+    ivs = None
+    out = []
+    for m in base_masses:
+        m = m * nu.lam
+        if m == 0:
+            out.append(Interval.point(0))
+        elif exact:
+            out.append(Interval.point(m * c.as_fraction() / integral.as_fraction()))
+        else:
+            if ivs is None:
+                ivs = c.eval_interval(prec), integral.eval_interval(prec)
+            out.append(ivs[0].scale(m).div_pos(ivs[1]))
+    return out
+
+
 def flow_cylinder_mass(
     nu: FlowMeasure, word: Iterable[int], prec: int = 64
 ) -> Interval:
     """Bracket for the measure of (cylinder x [0, c]): lam*c*base(C)/I."""
     if nu.is_zero:
         return Interval.point(0)
-    w = tuple(word)
-    m = combo_of_cylinder(nu.base, w) * nu.lam
-    if m == 0:
-        return Interval.point(0)
-    c, integral = nu.roof.floor, nu.integral
-    if c.is_rational and integral.is_rational:
-        exact = m * c.as_fraction() / integral.as_fraction()
-        return Interval.point(exact)
-    c_iv = c.eval_interval(prec)
-    i_iv = integral.eval_interval(prec)
-    return c_iv.scale(m).div_pos(i_iv)
+    return _kac_brackets(nu, [combo_of_cylinder(nu.base, word)], prec)[0]
 
 
 def _same_roof(r1: RoofFunction, r2: RoofFunction) -> bool:
@@ -477,7 +494,15 @@ def flow_metric_rho(
     prec: int = 64,
 ) -> tuple[Fraction, Fraction]:
     """Bracket for the flow metric: partial sum over the first N canonical
-    cylinders plus the 2^-N tail allowance."""
+    cylinders plus the 2^-N tail allowance.
+
+    The cylinders come from the shift's memoised canonical prefix.  Each
+    flow measure's base masses on all N of them come from one window
+    count per orbit and word length (`cylinder_masses`), and its c and I
+    are evaluated once (`_kac_brackets`), not once per cylinder.
+    """
+    if N < 1:
+        raise ValueError("N must be >= 1")
     if not _same_roof(nu1.roof, nu2.roof):
         raise RoofMismatchError("flow distances require a common roof and cut height")
     tail = Fraction(1, 2**N)
@@ -488,13 +513,17 @@ def flow_metric_rho(
         and nu1.integral == nu2.integral
     ) or (nu1.is_zero and nu2.is_zero):
         return Fraction(0), tail
+    words = canonical_cylinders(spec, N)
+
+    def brackets(nu: FlowMeasure) -> list[Interval]:
+        if nu.is_zero:
+            return [Interval.point(0)] * N
+        return _kac_brackets(nu, cylinder_masses(nu.base, words), prec)
+
     lower = Fraction(0)
     upper = Fraction(0)
-    for n, word in enumerate(canonical_cylinders(spec, N), start=1):
-        diff = (
-            flow_cylinder_mass(nu1, word, prec)
-            - flow_cylinder_mass(nu2, word, prec)
-        ).abs()
+    for n, (x, y) in enumerate(zip(brackets(nu1), brackets(nu2)), start=1):
+        diff = (x - y).abs()
         scale = Fraction(1, 2**n)
         lower += diff.lo * scale
         upper += diff.hi * scale
@@ -559,6 +588,8 @@ def flow_limit_analyze(
     limit of full mass yields the mass-lambda verdict with
     lambda = (integral of the base limit) / (limit of the integrals).
     """
+    if n_max < 1:
+        raise ValueError("n_max must be >= 1")
     tol = Fraction(tol)
     integrals = tuple(roof_integral(roof, seq.term(n)) for n in range(1, n_max + 1))
     window = integrals[max(0, n_max - max(2, n_max // 4)) :]

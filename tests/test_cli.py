@@ -1,3 +1,4 @@
+import argparse
 import csv
 import io
 import json
@@ -216,6 +217,26 @@ class TestDriver:
         assert code == EXIT_OK
         assert read_json(out, "metric_d")["cylinders"] == ["1", "2", "1-2"]
 
+    @pytest.mark.parametrize("verb", ["d", "rho"])
+    @pytest.mark.parametrize("N", ["0", "-1"])
+    def test_nonpositive_N_is_config_error(self, tmp_path, capsys, verb, N):
+        code, out = run_cli(
+            tmp_path, "metric", verb, "--combo-a", "1:(1)", "--combo-b", "1:(2)", "--N", N,
+        )
+        assert code == EXIT_CONFIG
+        assert "N must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("verb", ["trace", "classify"])
+    @pytest.mark.parametrize("i", ["0", "-1"])
+    def test_inadmissible_sequence_term_is_config_error(self, tmp_path, capsys, verb, i):
+        # the first pair-loop term (i, 2) has a symbol below 1
+        code, _ = run_cli(
+            tmp_path, "converge", verb, "--seq", "pair-loops", "--i", i, "--n-max", "4",
+        )
+        assert code == EXIT_CONFIG
+        assert "sequence generator failed at index 1" in capsys.readouterr().err
+
     def test_invalid_rational_rejected(self, tmp_path):
         with pytest.raises(SystemExit) as err:
             main([
@@ -335,3 +356,59 @@ class TestParserReuse:
         for i, argv in enumerate(VERBS * 2):
             assert run_cli(tmp_path / str(i), *argv)[0] == EXIT_OK
         assert len(built) == 1
+
+
+# one small, valid argv per verb; the contract sweep overrides one integer
+# option at a time
+CONTRACT_BASE = {
+    ("shift", "info"): ["--shift", "star", "--horizon", "3"],
+    ("shift", "check"): ["--shift", "star", "--horizon", "3", "--symbol-cap", "20"],
+    ("orbit", "enum"): ["--shift", "finite_full:2", "--a", "1", "--n", "3"],
+    ("orbit", "connect"): ["--shift", "star", "--a", "2", "--b", "3"],
+    ("measure", "eval"): ["--combo", "1:(1,2)", "--cylinder", "1"],
+    ("measure", "invariance"): ["--combo", "1:(1,2)", "--depth", "2", "--symbol-cap", "5"],
+    ("metric", "d"): ["--combo-a", "1:(1)", "--combo-b", "1:(2)", "--N", "3"],
+    ("metric", "rho"): ["--combo-a", "1:(1)", "--combo-b", "1:(2)", "--N", "3"],
+    ("converge", "trace"): ["--n-max", "5", "--symbol-cap", "10"],
+    ("converge", "classify"): ["--n-max", "5", "--symbol-cap", "10", "--K", "5"],
+    ("escape",): ["--shift", "full", "--k", "2", "--target-len", "10", "--symbol-cap", "50"],
+    ("nonf-demo",): ["--shift", "full", "--count", "6", "--symbol-cap", "30"],
+    ("entropy",): ["--shift", "finite_full:2", "--n", "1..3"],
+    ("flow", "integral"): ["--combo", "1:(1,2)"],
+    ("flow", "limit"): ["--n-max", "5", "--symbol-cap", "10"],
+    ("flow", "classr"): ["--horizon", "4"],
+    ("densusp",): ["--shift", "full", "--target", "1/2:(1);1/2:(2)", "--eps", "1/10"],
+    ("run",): None,  # takes a config file, no integer option
+}
+
+
+def _leaf_parsers(parser, path=()):
+    """(command path, parser) for every verb of the CLI tree."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        yield path, parser
+        return
+    for name, child in subs[0].choices.items():
+        yield from _leaf_parsers(child, (*path, name))
+
+
+def _int_option_cases():
+    for path, parser in _leaf_parsers(cli.build_parser()):
+        for action in parser._actions:
+            if action.type is int and action.option_strings:
+                for value in ("0", "-1"):
+                    yield pytest.param(
+                        path, action.option_strings[0], value,
+                        id=f"{'-'.join(path)}{action.option_strings[0]}={value}",
+                    )
+
+
+class TestExitCodeContract:
+    def test_every_verb_has_a_base_argv(self):
+        assert {path for path, _ in _leaf_parsers(cli.build_parser())} == set(CONTRACT_BASE)
+
+    @pytest.mark.parametrize("path, option, value", list(_int_option_cases()))
+    def test_zero_and_negative_integers_exit_cleanly(self, tmp_path, path, option, value):
+        argv = [*path, *CONTRACT_BASE[path], option, value]
+        code, _ = run_cli(tmp_path, *argv)
+        assert code in (EXIT_OK, EXIT_CONFIG, EXIT_EXHAUSTED), argv

@@ -1,5 +1,9 @@
+import gc
 import itertools
 import random
+import sys
+import threading
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -8,7 +12,7 @@ from hypothesis import strategies as st
 
 from cmshift.measures import (
     CylinderFunction,
-    _count_cyclic_occurrences,
+    _cyclic_window_counts,
     InadmissibleWordError,
     SymbolCapError,
     TailInteractionError,
@@ -20,6 +24,7 @@ from cmshift.measures import (
     canonical_cylinders,
     combo_of_cylinder,
     convex_combination,
+    cylinder_masses,
     fixed_point_measure,
     indicator,
     integrate_test_function,
@@ -31,16 +36,14 @@ from cmshift.measures import (
     periodic_orbit,
     support_table,
 )
-from cmshift.shifts import is_admissible, load_shift_text, parse_shift_arg
-from conftest import random_cycle
-
-
-def naive_cyclic_mass(cycle, word):
-    """Oracle: scan every rotation of the cycle, extended periodically."""
-    T = len(cycle)
-    ext = cycle * (len(word) // T + 2)
-    hits = sum(1 for j in range(T) if ext[j : j + len(word)] == tuple(word))
-    return Fraction(hits, T)
+from cmshift.shifts import ShiftSpec, is_admissible, load_shift_text, parse_shift_arg
+from conftest import (
+    DIFFERENTIAL_SHIFTS,
+    naive_combo_mass,
+    naive_cyclic_mass,
+    random_combo,
+    random_cycle,
+)
 
 
 def naive_canonical(spec, count):
@@ -547,7 +550,8 @@ class TestWindowCountDifferential:
 
 
 class TestCyclicOccurrences:
-    """The comma-delimited string search against a direct scan."""
+    """The cyclic window counter against a direct scan; the symbols are
+    chosen so that digit strings of different words overlap."""
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -556,9 +560,9 @@ class TestCyclicOccurrences:
     )
     def test_matches_naive_scan(self, cycle, word):
         cycle = tuple(cycle)
-        assert Fraction(
-            _count_cyclic_occurrences(cycle, tuple(word)), len(cycle)
-        ) == naive_cyclic_mass(cycle, word)
+        counts = _cyclic_window_counts(cycle, len(word))
+        assert sum(counts.values()) == len(cycle)  # one window per start
+        assert Fraction(counts[tuple(word)], len(cycle)) == naive_cyclic_mass(cycle, word)
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -570,6 +574,175 @@ class TestCyclicOccurrences:
         cycle = tuple(cycle)
         ext = cycle * (length // len(cycle) + 3)
         word = ext[start % len(cycle) :][:length]
-        count = _count_cyclic_occurrences(cycle, word)
-        assert count >= 1
-        assert Fraction(count, len(cycle)) == naive_cyclic_mass(cycle, word)
+        counts = _cyclic_window_counts(cycle, length)
+        assert counts[word] >= 1
+        for w, count in counts.items():
+            assert Fraction(count, len(cycle)) == naive_cyclic_mass(cycle, w)
+
+
+def fresh_canonical(spec, count):
+    """Oracle: a new enumeration, independent of the memoised prefix."""
+    return list(itertools.islice(canonical_cylinder_iter(spec), count))
+
+
+class TestCanonicalPrefix:
+    """`canonical_cylinders` reads one memoised prefix per spec object."""
+
+    def test_keyed_by_identity_not_name(self):
+        loop = load_shift_text("1: 1\n")
+        ring = load_shift_text("1: 2\n2: 1 2\n")
+        assert loop.name == ring.name == "user"
+        assert canonical_cylinders(loop, 4) == [(1,), (1, 1), (1, 1, 1), (1, 1, 1, 1)]
+        assert canonical_cylinders(ring, 12) == fresh_canonical(ring, 12)
+        assert canonical_cylinders(loop, 6) == fresh_canonical(loop, 6)
+
+    def test_mixed_requests_match_a_fresh_enumeration(self):
+        for name in ("full", "renewal", "star", "finite_full:2"):
+            spec = parse_shift_arg(name)
+            oracle = fresh_canonical(spec, 400)
+            for count in (5, 2, 30, 30, 1, 7, 400, 120, 399):
+                assert canonical_cylinders(spec, count) == oracle[:count]
+
+    def test_every_over_ask_on_a_finite_language_raises(self):
+        dead_end = load_shift_text("1: 2\n2:\n")
+        for count in (4, 3, 5, 2, 4, 100, 3):
+            if count <= 3:
+                assert canonical_cylinders(dead_end, count) == [(1,), (2,), (1, 2)][:count]
+            else:
+                with pytest.raises(ValueError, match="only 3 admissible cylinders"):
+                    canonical_cylinders(dead_end, count)
+
+    def test_callers_get_copies(self, full):
+        first = canonical_cylinders(full, 6)
+        first.clear()
+        second = canonical_cylinders(full, 6)
+        assert second == fresh_canonical(full, 6)
+        second.append((99,))
+        assert canonical_cylinders(full, 7) == fresh_canonical(full, 7)
+
+    def test_spec_is_collectable_after_del(self):
+        spec = parse_shift_arg("renewal")
+        assert len(canonical_cylinders(spec, 50)) == 50
+        ref = weakref.ref(spec)
+        del spec
+        gc.collect()
+        assert ref() is None
+
+    def test_a_failing_oracle_leaves_no_spent_prefix(self):
+        calls = [0]
+        full = parse_shift_arg("full")
+
+        def flaky(i, j):
+            calls[0] += 1
+            if calls[0] == 20:
+                raise RuntimeError("oracle failed")
+            return True
+
+        spec = ShiftSpec("flaky", flaky)
+        with pytest.raises(RuntimeError):
+            canonical_cylinders(spec, 200)
+        assert canonical_cylinders(spec, 200) == fresh_canonical(full, 200)
+
+    def test_concurrent_requests_agree(self):
+        # more threads than cores and a short switch interval, so that an
+        # unguarded prefix would interleave two extensions of one generator
+        spec = parse_shift_arg("renewal")
+        oracle = fresh_canonical(spec, 1600)
+        got = {}
+
+        def ask(k):
+            got[k] = canonical_cylinders(spec, 200 * k)
+
+        threads = [threading.Thread(target=ask, args=(k,)) for k in range(1, 9)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert all(got[k] == oracle[: 200 * k] for k in range(1, 9))
+
+
+def per_cylinder_metric_d(a, b, N, spec):
+    """Oracle: the former metric loop, one direct scan per cylinder and
+    side over a fresh enumeration; a table raises at its first
+    unrepresented index."""
+    def value(obj, word, n):
+        if isinstance(obj, CylinderFunction):
+            try:
+                return obj.value(word)
+            except UnrepresentedCylinderError:
+                raise UnrepresentedCylinderError(word, n) from None
+        return naive_combo_mass(obj, word)
+
+    lower = Fraction(0)
+    for n, word in enumerate(fresh_canonical(spec, N), start=1):
+        va, vb = value(a, word, n), value(b, word, n)
+        if va != vb:
+            lower += Fraction(1, 2**n) * abs(va - vb)
+    return lower, lower + Fraction(1, 2**N)
+
+
+class TestMassVectors:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        shift=st.sampled_from(sorted(DIFFERENTIAL_SHIFTS)),
+        seed=st.integers(0, 2**32 - 1),
+        terms=st.tuples(st.integers(0, 3), st.integers(0, 3)),
+        N=st.integers(1, 90),
+    )
+    def test_metric_d_matches_per_cylinder_oracle(self, shift, seed, terms, N):
+        spec, cap = DIFFERENTIAL_SHIFTS[shift]
+        rng = random.Random(seed)
+        a, b = (random_combo(spec, rng, k, cap) for k in terms)
+        assert metric_d(a, b, N, spec) == per_cylinder_metric_d(a, b, N, spec)
+        if a.terms:
+            mu = a.terms[0][1]  # a bare periodic measure is a valid argument too
+            assert metric_d(mu, b, N, spec) == per_cylinder_metric_d(
+                convex_combination([(1, mu)]), b, N, spec
+            )
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        shift=st.sampled_from(sorted(DIFFERENTIAL_SHIFTS)),
+        seed=st.integers(0, 2**32 - 1),
+        depth=st.integers(1, 7),
+        N=st.integers(1, 90),
+    )
+    def test_table_arguments_raise_at_the_oracles_index(self, shift, seed, depth, N):
+        spec, cap = DIFFERENTIAL_SHIFTS[shift]
+        rng = random.Random(seed)
+        nu = random_combo(spec, rng, 2, cap)
+        table = CylinderFunction.from_combo(random_combo(spec, rng, 2, cap), depth, cap)
+        outcomes = []
+        for run in (metric_d, per_cylinder_metric_d):
+            try:
+                outcomes.append(run(nu, table, N, spec))
+            except UnrepresentedCylinderError as exc:
+                outcomes.append((exc.word, exc.index))
+        assert outcomes[0] == outcomes[1]
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        shift=st.sampled_from(sorted(DIFFERENTIAL_SHIFTS)),
+        seed=st.integers(0, 2**32 - 1),
+        N=st.integers(1, 120),
+    )
+    def test_cylinder_masses_match_direct_scans(self, shift, seed, N):
+        spec, cap = DIFFERENTIAL_SHIFTS[shift]
+        rng = random.Random(seed)
+        nu = random_combo(spec, rng, rng.randint(0, 4), cap)
+        words = fresh_canonical(spec, N)
+        rng.shuffle(words)  # any order and any mix of lengths
+        masses = cylinder_masses(nu, words)
+        assert masses == [naive_combo_mass(nu, w) for w in words]
+        assert masses == [combo_of_cylinder(nu, w) for w in words]
+
+    def test_empty_word_is_rejected(self, full):
+        nu = convex_combination([(1, fixed_point_measure(full, 1))])
+        with pytest.raises(ValueError, match="nonempty"):
+            cylinder_masses(nu, [(1,), ()])

@@ -1,9 +1,13 @@
+import itertools
 import math
 import random
 from collections import Counter
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cmshift.asymptotics import (
     composite_sequence,
@@ -11,10 +15,12 @@ from cmshift.asymptotics import (
     pair_loop_sequence,
     sequence_from_measures,
 )
-from cmshift.exactval import LogLinear
+from cmshift.exactval import Interval, LogLinear
 from cmshift.measures import (
+    canonical_cylinder_iter,
     combo_of_cylinder,
     convex_combination,
+    cylinder_masses,
     fixed_point_measure,
     measure_from_cycle,
     metric_d,
@@ -27,6 +33,7 @@ from cmshift.suspension import (
     FlowEscapeError,
     FlowMeasure,
     RoofFunction,
+    _kac_brackets,
     RoofMismatchError,
     approximate_by_single_orbit,
     birkhoff_sum,
@@ -44,7 +51,7 @@ from cmshift.suspension import (
     roof_integral,
     tail_log1p,
 )
-from conftest import random_cycle
+from conftest import DIFFERENTIAL_SHIFTS, naive_combo_mass, random_combo, random_cycle
 
 
 def naive_birkhoff_float(cycle, first_symbol_fn):
@@ -309,6 +316,15 @@ class TestFlowMetric:
         # [1] carries flow mass 1 against 1/2: term 1/2 * 1/2, tail 1/2
         assert flow_metric_rho(nu, doubled, 1, full) == (Fraction(1, 4), Fraction(3, 4))
 
+    @pytest.mark.parametrize("N", [0, -1])
+    def test_N_must_be_positive(self, full, N):
+        roof = log1p_roof()
+        nu = kac_lift(convex_combination([(1, fixed_point_measure(full, 1))]), roof)
+        other = kac_lift(convex_combination([(1, fixed_point_measure(full, 2))]), roof)
+        for a, b in ((nu, other), (nu, nu), (nu, FlowMeasure.zero(roof))):
+            with pytest.raises(ValueError, match="N must be >= 1"):
+                flow_metric_rho(a, b, N, full)
+
     def test_uppers_fall_while_integrals_rise_on_star(self, star):
         # consecutive (1, n) orbits: integrals strictly increase while the
         # distance-to-zero upper bounds never do
@@ -346,6 +362,13 @@ class TestFlowLimits:
         seq = composite_sequence(Fraction(1, 2), mu, fixed_point_sequence(full))
         report = flow_limit_analyze(seq, roof, 40, 1, 10, Fraction(1, 1000))
         assert report.verdict == "zero flow limit"
+
+    @pytest.mark.parametrize("n_max", [0, -1])
+    def test_n_max_must_be_positive(self, full, n_max):
+        with pytest.raises(ValueError, match="n_max must be >= 1"):
+            flow_limit_analyze(
+                fixed_point_sequence(full), log1p_roof(), n_max, 1, 10, Fraction(1, 1000)
+            )
 
     def test_oscillating_integrals_undetermined(self, full):
         roof = log1p_roof()
@@ -462,3 +485,149 @@ class TestRoofParsing:
     def test_missing_floor_rejected(self):
         with pytest.raises(ValueError):
             parse_roof_text("depth 1\ntail log1p\n")
+
+
+def per_cylinder_flow_mass(nu, word, prec):
+    """Oracle: the former `flow_cylinder_mass`, with a direct scan for the
+    base mass and c and I evaluated again for every cylinder."""
+    if nu.is_zero:
+        return Interval.point(0)
+    m = naive_combo_mass(nu.base, word) * nu.lam
+    if m == 0:
+        return Interval.point(0)
+    c, integral = nu.roof.floor, nu.integral
+    if c.is_rational and integral.is_rational:
+        return Interval.point(m * c.as_fraction() / integral.as_fraction())
+    return c.eval_interval(prec).scale(m).div_pos(integral.eval_interval(prec))
+
+
+def per_cylinder_rho(nu1, nu2, N, spec, prec):
+    """Oracle: the former `flow_metric_rho` loop over a fresh enumeration
+    (for arguments that the shared-base shortcut does not catch)."""
+    lower = upper = Fraction(0)
+    words = itertools.islice(canonical_cylinder_iter(spec), N)
+    for n, word in enumerate(words, start=1):
+        diff = (
+            per_cylinder_flow_mass(nu1, word, prec) - per_cylinder_flow_mass(nu2, word, prec)
+        ).abs()
+        lower += diff.lo * Fraction(1, 2**n)
+        upper += diff.hi * Fraction(1, 2**n)
+    return lower, upper + Fraction(1, 2**N)
+
+
+FLOW_ROOFS = {
+    "log1p": log1p_roof(),
+    "const": constant_roof(Fraction(3, 2)),
+    "table": parse_roof_text("depth 2\ntable 1 2 : log:7\ntable 2 1 : 5/2\ntail log1p\nc log:2\n"),
+    "rational": parse_roof_text("table 1 : 3\ntable 2 : 7/2\ntail const 2\nc 2\n"),
+}
+
+
+def random_flow_measure(spec, roof, rng, cap):
+    """Zero, or lam times the Kac lift of a random probability base."""
+    terms = rng.randint(0, 3)
+    if terms == 0:
+        return FlowMeasure.zero(roof)
+    base = random_combo(spec, rng, terms, cap, probability=True)
+    lam = Fraction(rng.randint(1, 4), 4)
+    return FlowMeasure(roof, base, roof_integral(roof, base), lam)
+
+
+class TestFlowMassVectors:
+    @settings(max_examples=120, deadline=None)
+    @given(
+        shift=st.sampled_from(sorted(DIFFERENTIAL_SHIFTS)),
+        roof=st.sampled_from(sorted(FLOW_ROOFS)),
+        seed=st.integers(0, 2**32 - 1),
+        N=st.integers(1, 60),
+        prec=st.sampled_from([16, 64]),
+    )
+    def test_rho_matches_per_cylinder_oracle(self, shift, roof, seed, N, prec):
+        spec, cap = DIFFERENTIAL_SHIFTS[shift]
+        rng = random.Random(seed)
+        nu1, nu2 = (random_flow_measure(spec, FLOW_ROOFS[roof], rng, cap) for _ in range(2))
+        if nu1.is_zero and nu2.is_zero:
+            return  # the shortcut answers (0, 2^-N) without a sum
+        assert flow_metric_rho(nu1, nu2, N, spec, prec) == per_cylinder_rho(
+            nu1, nu2, N, spec, prec
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        shift=st.sampled_from(sorted(DIFFERENTIAL_SHIFTS)),
+        roof=st.sampled_from(sorted(FLOW_ROOFS)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_flow_cylinder_mass_matches_oracle(self, shift, roof, seed):
+        spec, cap = DIFFERENTIAL_SHIFTS[shift]
+        rng = random.Random(seed)
+        nu = random_flow_measure(spec, FLOW_ROOFS[roof], rng, cap)
+        for word in itertools.islice(canonical_cylinder_iter(spec), 40):
+            assert flow_cylinder_mass(nu, word) == per_cylinder_flow_mass(nu, word, 64)
+
+
+def direct_roof_integral(base, tau, num=Fraction):
+    """Oracle: sum over orbits of weight/period times the sum of a
+    depth-1 roof `tau` along the cycle; `num` converts the rational
+    factors to tau's number type."""
+    return sum(
+        num(wt / len(mu.orbit.cycle)) * sum(tau(s) for s in mu.orbit.cycle)
+        for wt, mu in base.terms
+    )
+
+
+def to_decimal(q: Fraction) -> Decimal:
+    return Decimal(q.numerator) / q.denominator
+
+
+class TestKacDirect:
+    """Flow masses against the direct Kac value lam * c * base(C) / integral."""
+
+    WORDS = 60
+
+    def _brackets(self, nu, spec):
+        words = list(itertools.islice(canonical_cylinder_iter(spec), self.WORDS))
+        vector = _kac_brackets(nu, cylinder_masses(nu.base, words), 64)
+        single = [flow_cylinder_mass(nu, w) for w in words]
+        assert vector == single
+        return words, single
+
+    @pytest.mark.parametrize("shift", ["full", "star", "renewal", "rows"])
+    def test_rational_roofs_are_exact(self, shift):
+        spec, cap = DIFFERENTIAL_SHIFTS[shift]
+        rng = random.Random(shift)
+        table = {1: Fraction(3), 2: Fraction(7, 2)}  # FLOW_ROOFS["rational"], tail 2
+        roofs = [
+            (constant_roof(Fraction(5, 3)), Fraction(5, 3), lambda s: Fraction(5, 3)),
+            (FLOW_ROOFS["rational"], Fraction(2), lambda s: table.get(s, Fraction(2))),
+        ]
+        for roof, c, tau in roofs:
+            for _ in range(5):
+                base = random_combo(spec, rng, rng.randint(1, 3), cap, probability=True)
+                lam = Fraction(rng.randint(1, 5), 5)
+                nu = FlowMeasure(roof, base, roof_integral(roof, base), lam)
+                integral = direct_roof_integral(base, tau)
+                words, brackets = self._brackets(nu, spec)
+                for word, iv in zip(words, brackets):
+                    exact = lam * c * naive_combo_mass(base, word) / integral
+                    assert iv.lo == iv.hi == exact
+
+    @pytest.mark.parametrize("shift", ["full", "star", "renewal", "rows"])
+    def test_log1p_brackets_contain_the_value(self, shift):
+        spec, cap = DIFFERENTIAL_SHIFTS[shift]
+        rng = random.Random(shift)
+        roof = log1p_roof()
+        eps = Fraction(1, 10**40)  # far below the bracket widths, far above the error at 60 digits
+        with localcontext() as ctx:
+            ctx.prec = 60
+            for _ in range(5):
+                base = random_combo(spec, rng, rng.randint(1, 3), cap, probability=True)
+                lam = Fraction(rng.randint(1, 5), 5)
+                nu = FlowMeasure(roof, base, roof_integral(roof, base), lam)
+                integral = direct_roof_integral(base, lambda s: Decimal(1 + s).ln(), to_decimal)
+                ln2 = Decimal(2).ln()
+                words, brackets = self._brackets(nu, spec)
+                for word, iv in zip(words, brackets):
+                    value = Fraction(ln2 * to_decimal(lam * naive_combo_mass(base, word)) / integral)
+                    assert iv.lo <= value + eps and value - eps <= iv.hi
+                    assert iv.width <= Fraction(1, 2**56)
