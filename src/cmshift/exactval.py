@@ -19,7 +19,9 @@ grouped.  `(log 6 + log 2) + log 1/2` gives the base {2: 1, 3: 1}, while
 `log 6 + (log 2 + log 1/2)` gives {6: 1}.  Reports print that base, so
 accumulation loops add term by term and there is deliberately no
 one-shot `sum`, which would group differently and change report bytes.
-Each `+` costs about O(n * k) gcds for operands of n and k terms (see
+Each `+` of operands of n and k terms costs n + k gcds against two
+products to find the terms that share a factor with the other operand,
+and splits only those: O(n' * k') gcds when n' and k' of them do (see
 `_merge`).
 
 Numeric enclosures are directed rational intervals: `eval_interval(p)`
@@ -205,12 +207,27 @@ def _merge(left, right) -> dict[int, Fraction]:
     """Combine two normal-form term lists over a pairwise-coprime base.
 
     Bases sharing a factor are split by gcd until no pair does; the value
-    sum c * log(base) is preserved exactly throughout.  Work items are
-    popped from the end of left + right, and each is tested against the
-    bases in insertion order; the first base sharing a factor is split.
-    This is the general merge over the flat list left + right, except
-    that gcd tests known to give 1 are skipped, so the first hit of each
-    scan, and hence the result, is unchanged.  Skipped are the tests of
+    sum c * log(base) is preserved exactly throughout.  The result is
+    that of the general merge over the flat list left + right, which
+    pops work items from the end and splits each against the first base,
+    in insertion order, that shares a factor with it.
+
+    Only the terms that interact enter the split loop.  A term is hit
+    when its base shares a factor with a base of the other operand; one
+    gcd per term against a product finds them all: each base of the
+    larger operand against the product of the smaller operand's bases,
+    then each base of the smaller operand against the product of the
+    larger operand's hit bases.  Every other term is copied into the
+    result as it is.  This is exact for every sign pattern: each piece
+    the loop creates divides a base of the other operand or a hit base
+    of the term's own operand, and the bases of one operand are pairwise
+    coprime, so a term that is not hit is coprime to every piece.  No
+    piece can equal it, its scan finds no factor, and leaving it out of
+    every scan changes no scan's first hit.  The two hit subsets are
+    still normal forms, and the loop below runs on them as the general
+    merge would, except that gcd tests known to give 1 are skipped, so
+    the first hit of each scan, and hence the result, is unchanged.
+    Skipped are the tests of
 
     * an input term against the bases inserted by its own list, whose
       terms are pairwise coprime;
@@ -223,14 +240,26 @@ def _merge(left, right) -> dict[int, Fraction]:
     A base inserted by an input term carries its list's bit (1 for left,
     2 for right), a base inserted by a piece carries 0.  A work item
     carries the mask of bits it may skip and scans `views[mask]`, the
-    bases whose bit is not in the mask.  A scan so covers at most the
-    other list's bases and the bases pieces inserted: a sum of n and k
-    terms costs O(n * k) gcds plus O(n + k) per base a piece inserted,
-    where the general merge costs O((n + k)^2).
+    bases whose bit is not in the mask.  A sum of n and k terms of which
+    n' and k' are hit so costs n + k gcds against two products, plus
+    O(n' * k') gcds and O(n' + k') per base a piece inserted; terms that
+    share no factor with the other operand cost one gcd each.
     """
+    small, large = (left, right) if len(left) <= len(right) else (right, left)
+    p = math.prod(b for b, _ in small)
+    hit = {b for b, _ in large if gcd(b, p) > 1}
+    q = math.prod(hit)
+    # a base in both operands is hit in both, so one set serves both
+    hit.update([b for b, _ in small if gcd(b, q) > 1])
     bases: dict[int, Fraction] = {}
+    work = []
+    for bit, terms in ((1, left), (2, right)):
+        for b, c in terms:
+            if b in hit:
+                work.append((b, c, bit, bit))
+            else:
+                bases[b] = c
     views: dict[int, dict[int, None]] = {1: {}, 2: {}, 3: {}}
-    work = [(b, c, 1, 1) for b, c in left] + [(b, c, 2, 2) for b, c in right]
     while work:
         b, c, mask, bit = work.pop()
         if b == 1 or c == 0:
@@ -286,9 +315,10 @@ class LogLinear:
         r = Fraction(r)
         if r <= 0:
             raise ValueError("log of a nonpositive value")
-        # numerator and denominator are coprime: two one-term normal forms
-        merged = _merge([(r.numerator, Fraction(1))], [(r.denominator, Fraction(-1))])
-        return cls._make(_ZERO, merged)
+        # numerator and denominator are coprime: the normal form is both,
+        # less whichever is 1
+        terms = ((r.numerator, Fraction(1)), (r.denominator, Fraction(-1)))
+        return cls._make(_ZERO, {b: c for b, c in terms if b != 1})
 
     @classmethod
     def zero(cls) -> "LogLinear":

@@ -78,12 +78,18 @@ class SearchCaps:
 
 
 def is_admissible(spec: ShiftSpec, symbols: Iterable[int]) -> bool:
+    """True when every symbol is in the alphabet and every transition allowed.
+
+    `allowed` is pure, so each distinct transition is asked once, in
+    first-occurrence order: a word of n symbols over t distinct
+    transitions costs t oracle calls, not n - 1.
+    """
     word = tuple(symbols)
     if not word or any(s < 1 for s in word):
         return False
     if spec.alphabet_size is not None and any(s > spec.alphabet_size for s in word):
         return False
-    return all(spec.is_allowed(a, b) for a, b in zip(word, word[1:]))
+    return all(spec.is_allowed(a, b) for a, b in dict.fromkeys(zip(word, word[1:])))
 
 
 def successors(spec: ShiftSpec, i: int, cap: int) -> tuple[list[int], bool]:

@@ -11,7 +11,6 @@ come out as directed rational brackets.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
@@ -31,6 +30,7 @@ from .measures import (
     ConvexCombination,
     PeriodicMeasure,
     PeriodicOrbit,
+    _cyclic_window_counts,
     canonical_cylinders,
     combo_of_cylinder,
     convex_combination,
@@ -308,6 +308,14 @@ def class_R_check(
     symbol >= k and judges its growth.  Uniform continuity is structural
     (depth-k local constancy), so only the floor and the tail divergence
     need witnesses.
+
+    The pool of k holds the table values with first symbol >= k in dict
+    order, then the tail values of symbols k..horizon in ascending
+    order, and m(k) is its first minimal value: equal values in other
+    normal forms print other floats in `m_rows`.  Pools shrink as k
+    grows, so one running minimum from the top symbol down, which keeps
+    the earlier pool position on ties, gives every m(k) in
+    O(horizon + |table|) comparisons, and m never decreases.
     """
     violations = []
     for w, v in sorted(roof.table.items()):
@@ -320,39 +328,34 @@ def class_R_check(
             if tail_vals[s] < roof.floor:
                 violations.append((s, "tail value below c"))
 
-    m_rows = []
-    prev: LogLinear | None = None
-    nondecreasing = True
-    m_first: LogLinear | None = None
-    m_last: LogLinear | None = None
-    for k in range(1, horizon + 1):
-        pool = [v for w, v in roof.table.items() if w[0] >= k]
-        pool.extend(v for s, v in tail_vals.items() if s >= k)
-        if not pool:
-            break
-        m_k = pool[0]
-        for v in pool[1:]:
-            if v < m_k:
-                m_k = v
-        m_rows.append((k, float(m_k)))
-        if prev is not None and m_k < prev:
-            nondecreasing = False
-        if m_first is None:
-            m_first = m_k
-        m_last = m_k
-        prev = m_k
+    # pool positions: table entries first, then the tail symbols; a table
+    # word first enters the pool of k = min(first symbol, top)
+    top = horizon if tail_vals else min(horizon, max((w[0] for w in roof.table), default=0))
+    entering: dict[int, list[tuple[int, LogLinear]]] = {}
+    for pos, (w, v) in enumerate(roof.table.items()):
+        entering.setdefault(min(w[0], top), []).append((pos, v))
+    for s, v in tail_vals.items():
+        entering.setdefault(s, []).append((len(roof.table) + s, v))
+    m_vals: list[LogLinear] = []
+    best: LogLinear | None = None
+    best_pos = 0
+    for k in range(top, 0, -1):
+        for pos, v in entering.get(k, ()):
+            if best is None or (v <= best if pos < best_pos else v < best):
+                best, best_pos = v, pos
+        m_vals.append(best)
+    m_vals.reverse()
+    m_rows = [(k, float(m_k)) for k, m_k in enumerate(m_vals, start=1)]
 
     finite_alphabet = spec is not None and spec.alphabet_size is not None
     if finite_alphabet:
         tail_verdict = "vacuous-finite-alphabet"
-    elif m_first is None or m_last is None:
+    elif not m_vals:
         tail_verdict = "inconclusive"
-    elif m_last == m_first:
+    elif m_vals[-1] == m_vals[0]:
         tail_verdict = "fails-constant-at-horizon"
-    elif nondecreasing:
-        tail_verdict = "increasing-at-horizon"
     else:
-        tail_verdict = "inconclusive"
+        tail_verdict = "increasing-at-horizon"
 
     var2_observed: Fraction | None = None
     var2_ok = True
@@ -376,7 +379,7 @@ def class_R_check(
         floor_holds=not violations,
         floor_witnesses=tuple(violations),
         m_rows=tuple(m_rows),
-        m_nondecreasing=nondecreasing,
+        m_nondecreasing=True,
         tail_verdict=tail_verdict,
         var2_observed=var2_observed,
         var2_ok=var2_ok,
@@ -385,14 +388,14 @@ def class_R_check(
 
 
 def birkhoff_sum(roof: RoofFunction, orbit: PeriodicOrbit) -> LogLinear:
-    """Sum of the roof along one period, read cyclically; exact."""
-    cycle = orbit.cycle
-    T = len(cycle)
-    k = roof.depth
-    ext = cycle * ((k - 1) // T + 2)
-    windows = Counter(tuple(ext[j : j + k]) for j in range(T))
+    """Sum of the roof along one period, read cyclically; exact.
+
+    The depth-k windows come from one cyclic window count
+    (`_cyclic_window_counts`) in first-occurrence order, and each
+    distinct window adds count * value to the left fold.
+    """
     total = LogLinear.zero()
-    for w, count in windows.items():
+    for w, count in _cyclic_window_counts(orbit.cycle, roof.depth).items():
         total = total + count * roof_eval(roof, w)
     return total
 
@@ -591,7 +594,12 @@ def flow_limit_analyze(
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     tol = Fraction(tol)
-    integrals = tuple(roof_integral(roof, seq.term(n)) for n in range(1, n_max + 1))
+    terms = []
+    integrals = []
+    for n in range(1, n_max + 1):
+        terms.append(seq.term(n))
+        integrals.append(roof_integral(roof, terms[-1]))
+    integrals = tuple(integrals)
     window = integrals[max(0, n_max - max(2, n_max // 4)) :]
     params = {
         "n_max": n_max,
@@ -618,7 +626,10 @@ def flow_limit_analyze(
     if not (osc <= rel_cap):
         return FlowLimitReport("undetermined", integrals, params)
 
-    base_report = cylinder_limit(seq, depth, symbol_cap, n_max, tol)
+    # the base limit reads the terms already generated, not the generator
+    base_report = cylinder_limit(
+        sequence_from_measures(terms, seq.description), depth, symbol_cap, n_max, tol
+    )
     mass_lo = base_report.mass_bracket[0]
     base_is_prob = mass_lo >= 1 - tol
     if not base_is_prob:
@@ -859,7 +870,7 @@ def approximate_by_single_orbit(
             target_integral=target_integral,
             word=word,
         )
-        if best is None or (hi, float(gap)) < (best.metric_bracket[1], float(best.integral_gap)):
+        if best is None or (hi, gap) < (best.metric_bracket[1], best.integral_gap):
             best = result
         if hi <= eps and gap <= LogLinear.from_rational(eps):
             return result

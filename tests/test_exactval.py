@@ -197,6 +197,32 @@ def merge_operands(draw):
     return oracle_normal_form(raw_a), oracle_normal_form(raw_b)
 
 
+PRIMES = [p for p in range(2, 600) if all(p % d for d in range(2, int(p**0.5) + 1))]
+
+
+@st.composite
+def sparse_merge_operands(draw):
+    """Two long normal forms over mostly disjoint primes: a few bases of
+    the second share a factor with the first, a few repeat one of its
+    bases with the coefficient negated (exact cancellation) or not."""
+    primes = draw(st.permutations(PRIMES))
+    n = draw(st.integers(20, 50))
+    k = draw(st.integers(20, 50))
+    mine, theirs, spare = primes[:n], primes[n : n + k], primes[n + k :]
+    raw_a = [(p ** draw(st.integers(1, 3)), draw(coefficients)) for p in mine]
+    raw_b = [(p, draw(coefficients)) for p in theirs]
+    for _ in range(draw(st.integers(0, 4))):
+        b, c = draw(st.sampled_from(raw_a))
+        kind = draw(st.sampled_from(["cancel", "same", "shared"]))
+        if kind == "cancel":
+            raw_b.append((b, -c))
+        elif kind == "same":
+            raw_b.append((b, c))
+        else:
+            raw_b.append((b * draw(st.sampled_from(spare)), draw(coefficients)))
+    return oracle_normal_form(raw_a), oracle_normal_form(draw(st.permutations(raw_b)))
+
+
 def _assert_normal_form(logs):
     keys = [b for b, _ in logs]
     assert keys == sorted(keys)
@@ -225,6 +251,20 @@ class TestMergeKernel:
         b = LogLinear(Fraction(-3), right)
         assert (a + b).logs == want
         assert (b + a).logs == oracle_normal_form(list(right) + list(left))
+        assert (a - b).logs == oracle_normal_form(list(left) + [(e, -c) for e, c in right])
+
+    @given(operands=sparse_merge_operands())
+    @settings(max_examples=150, deadline=None)
+    def test_long_operands_with_few_interactions(self, operands):
+        # most terms pass straight through; the few that share a factor
+        # with the other operand, or cancel exactly, are split as before
+        left, right = operands
+        want = oracle_normal_form(list(left) + list(right))
+        assert tuple(sorted(_merge(left, right).items())) == want
+        assert tuple(sorted(_merge(right, left).items())) == oracle_normal_form(
+            list(right) + list(left)
+        )
+        a, b = LogLinear(Fraction(0), left), LogLinear(Fraction(0), right)
         assert (a - b).logs == oracle_normal_form(list(left) + [(e, -c) for e, c in right])
 
     def test_self_cancellation(self):

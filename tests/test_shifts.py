@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from cmshift.asymptotics import EscapeSearchError, escape_sequence
 from cmshift.shifts import (
     SearchCaps,
+    ShiftSpec,
     check_shift,
     connect,
     enumerate_loops,
@@ -45,6 +46,20 @@ class TestAdmissibility:
     def test_rejects_empty_and_nonpositive(self, full):
         assert not is_admissible(full, ())
         assert not is_admissible(full, (0, 1))
+
+    def test_long_word_forbidden_only_at_the_end(self):
+        calls = []
+
+        def allowed(i, j):
+            calls.append((i, j))
+            return (i, j) != (3, 1)
+
+        spec = ShiftSpec("no-3-1", allowed)
+        word = (1, 2) * 20_000 + (3, 1)
+        assert not is_admissible(spec, word)
+        assert is_admissible(spec, word[:-1])
+        # each distinct transition is asked once, in first-occurrence order
+        assert calls == [(1, 2), (2, 1), (2, 3), (3, 1), (1, 2), (2, 1), (2, 3)]
 
 
 class TestSuccessors:

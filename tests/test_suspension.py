@@ -4,12 +4,15 @@ import random
 from collections import Counter
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cmshift import suspension
 from cmshift.asymptotics import (
+    MeasureSequence,
     composite_sequence,
     fixed_point_sequence,
     pair_loop_sequence,
@@ -18,6 +21,7 @@ from cmshift.asymptotics import (
 from cmshift.exactval import Interval, LogLinear
 from cmshift.measures import (
     canonical_cylinder_iter,
+    canonical_cylinders,
     combo_of_cylinder,
     convex_combination,
     cylinder_masses,
@@ -26,10 +30,11 @@ from cmshift.measures import (
     metric_d,
     periodic_orbit,
 )
-from cmshift.shifts import SearchCaps, finite_full_shift, is_admissible
+from cmshift.shifts import SearchCaps, ShiftSpec, finite_full_shift, is_admissible
 from cmshift.suspension import (
     AmbiguousWordError,
     ApproximationError,
+    ClassRReport,
     FlowEscapeError,
     FlowMeasure,
     RoofFunction,
@@ -49,6 +54,7 @@ from cmshift.suspension import (
     parse_roof_text,
     roof_eval,
     roof_integral,
+    tail_constant,
     tail_log1p,
 )
 from conftest import DIFFERENTIAL_SHIFTS, naive_combo_mass, random_combo, random_cycle
@@ -56,6 +62,94 @@ from conftest import DIFFERENTIAL_SHIFTS, naive_combo_mass, random_combo, random
 
 def naive_birkhoff_float(cycle, first_symbol_fn):
     return sum(first_symbol_fn(s) for s in cycle)
+
+
+def quadratic_class_R_oracle(roof, horizon, spec):
+    """Oracle: the former class_R_check, which takes every m(k) as a fresh
+    minimum over the whole pool of values with first symbol >= k."""
+    violations = []
+    for w, v in sorted(roof.table.items()):
+        if v < roof.floor:
+            violations.append((w, "table value below c"))
+    tail_vals = {}
+    if roof.tail is not None:
+        for s in range(1, horizon + 1):
+            tail_vals[s] = roof.tail(s)
+            if tail_vals[s] < roof.floor:
+                violations.append((s, "tail value below c"))
+    m_rows = []
+    prev = m_first = m_last = None
+    nondecreasing = True
+    for k in range(1, horizon + 1):
+        pool = [v for w, v in roof.table.items() if w[0] >= k]
+        pool.extend(v for s, v in tail_vals.items() if s >= k)
+        if not pool:
+            break
+        m_k = pool[0]
+        for v in pool[1:]:
+            if v < m_k:
+                m_k = v
+        m_rows.append((k, float(m_k)))
+        if prev is not None and m_k < prev:
+            nondecreasing = False
+        if m_first is None:
+            m_first = m_k
+        m_last = m_k
+        prev = m_k
+    if spec is not None and spec.alphabet_size is not None:
+        tail_verdict = "vacuous-finite-alphabet"
+    elif m_first is None or m_last is None:
+        tail_verdict = "inconclusive"
+    elif m_last == m_first:
+        tail_verdict = "fails-constant-at-horizon"
+    elif nondecreasing:
+        tail_verdict = "increasing-at-horizon"
+    else:
+        tail_verdict = "inconclusive"
+    var2_observed = None
+    var2_ok = True
+    if roof.depth <= 2:
+        var2_observed = Fraction(0)
+    else:
+        by_head = {}
+        for w, v in roof.table.items():
+            by_head.setdefault(w[:2], []).append(v)
+        worst = LogLinear.zero()
+        for vals in by_head.values():
+            for x in vals:
+                for y in vals:
+                    if x - y > worst:
+                        worst = x - y
+        var2_ok = worst <= LogLinear.from_rational(roof.var2_bound)
+        var2_observed = None if not worst.is_rational else worst.as_fraction()
+    return ClassRReport(
+        floor_holds=not violations,
+        floor_witnesses=tuple(violations),
+        m_rows=tuple(m_rows),
+        m_nondecreasing=nondecreasing,
+        tail_verdict=tail_verdict,
+        var2_observed=var2_observed,
+        var2_ok=var2_ok,
+        horizon=horizon,
+    )
+
+
+# roof values, among them equal values in different normal forms; 3*log 5
+# and log 125, and log 2 + log 5 and log 10, print different floats, so a
+# broken tie rule shows in m_rows
+TIE_VALUES = (
+    lambda: LogLinear(Fraction(0), ((5, Fraction(3)),)),
+    lambda: LogLinear.log_of(125),
+    lambda: LogLinear(Fraction(0), ((2, Fraction(2)),)),
+    lambda: LogLinear.log_of(4),
+    lambda: LogLinear.log_of(2) + LogLinear.log_of(3),
+    lambda: LogLinear.log_of(6),
+    lambda: LogLinear.from_rational(Fraction(5, 2)),
+    lambda: LogLinear.from_rational(1),
+    lambda: LogLinear.log_of(2),
+    lambda: LogLinear.log_of(2) + LogLinear.log_of(5),
+    lambda: LogLinear.log_of(10),
+)
 
 
 class TestRoofEval:
@@ -129,6 +223,45 @@ class TestClassR:
         )
         report = class_R_check(roof, 4)
         assert not report.floor_holds
+
+    @given(
+        depth=st.integers(1, 3),
+        entries=st.lists(
+            st.tuples(st.lists(st.integers(0, 14), min_size=3, max_size=3),
+                      st.sampled_from(range(len(TIE_VALUES)))),
+            max_size=12,
+        ),
+        tail=st.sampled_from(["log1p", "const", "none"]),
+        horizon=st.integers(1, 12),
+        floor=st.sampled_from([Fraction(1, 10), Fraction(3, 2), LogLinear.log_of(3)]),
+        finite=st.booleans(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_quadratic_oracle(self, depth, entries, tail, horizon, floor, finite):
+        # first symbols up to 14 run past every horizon, 0 never enters a pool
+        table = {tuple(w[:depth]): TIE_VALUES[i]() for w, i in entries}
+        tails = {"log1p": tail_log1p(), "const": tail_constant(Fraction(5, 2)), "none": None}
+        roof = RoofFunction("rand", depth, table, tails[tail], floor, Fraction(1, 3))
+        spec = finite_full_shift(4) if finite else None
+        assert class_R_check(roof, horizon, spec) == quadratic_class_R_oracle(roof, horizon, spec)
+
+    def test_ties_keep_the_first_value_in_pool_order(self):
+        # 3*log 5 and log 125 are equal but print different floats
+        three_log5, log125 = TIE_VALUES[0](), TIE_VALUES[1]()
+        assert three_log5 == log125 and float(three_log5) != float(log125)
+        for first, second in ((three_log5, log125), (log125, three_log5)):
+            for a, b in (((2,), (3,)), ((3,), (2,))):
+                roof = RoofFunction("tie", 1, {a: first, b: second}, None, Fraction(1), 0)
+                report = class_R_check(roof, 4)
+                assert report == quadratic_class_R_oracle(roof, 4, None)
+                assert report.m_rows[0] == (1, float(first))
+        # a table value ties the log1p tail at 9: the table comes first
+        log2_plus_log5 = TIE_VALUES[-2]()
+        assert float(log2_plus_log5) != float(tail_log1p()(9))
+        roof = RoofFunction("tie", 1, {(12,): log2_plus_log5}, tail_log1p(), Fraction(1), 0)
+        report = class_R_check(roof, 12)
+        assert report == quadratic_class_R_oracle(roof, 12, None)
+        assert report.m_rows[8] == (9, float(log2_plus_log5))
 
 
 class TestBirkhoffAndIntegral:
@@ -370,6 +503,25 @@ class TestFlowLimits:
                 fixed_point_sequence(full), log1p_roof(), n_max, 1, 10, Fraction(1, 1000)
             )
 
+    @pytest.mark.parametrize("terms", ["constant", "escaping", "flip"])
+    def test_each_term_generated_once(self, full, terms):
+        # one verdict per branch: mass lambda (reaches cylinder_limit),
+        # zero limit and undetermined
+        roof = log1p_roof()
+        calls = []
+
+        def gen(n):
+            calls.append(n)
+            symbol = {"constant": 1, "escaping": n, "flip": 1 + 8 * (n % 2)}[terms]
+            return convex_combination([(1, fixed_point_measure(full, symbol))])
+
+        report = flow_limit_analyze(MeasureSequence(gen, "counted"), roof, 20, 1, 10,
+                                    Fraction(1, 1000))
+        assert calls == list(range(1, 21))
+        assert report.verdict == {"constant": "flow limit with mass lambda",
+                                  "escaping": "zero flow limit",
+                                  "flip": "undetermined"}[terms]
+
     def test_oscillating_integrals_undetermined(self, full):
         roof = log1p_roof()
         a = convex_combination([(1, fixed_point_measure(full, 1))])
@@ -464,6 +616,59 @@ class TestSingleOrbitApproximation:
                 target, roof, Fraction(1, 10**9), full, max_doublings=3
             )
         assert err.value.best is not None
+
+    def test_best_is_chosen_without_floats(self, full, monkeypatch):
+        # exit 3 keeps the best (metric upper, integral gap) pair; the
+        # choice compares exact values, so no LogLinear becomes a float
+        def no_float(self):
+            raise AssertionError("float() of a LogLinear in a decision path")
+
+        monkeypatch.setattr(LogLinear, "__float__", no_float)
+        target = convex_combination(
+            [
+                (Fraction(1, 3), measure_from_cycle(full, (1, 2))),
+                (Fraction(2, 3), fixed_point_measure(full, 3)),
+            ]
+        )
+        with pytest.raises(ApproximationError) as err:
+            approximate_by_single_orbit(
+                target, log1p_roof(), Fraction(1, 10**9), full, max_doublings=4
+            )
+        assert err.value.best.repetitions in (6, 12, 24, 48)
+
+    def test_admissibility_checks_stay_per_transition(self, full):
+        # the 1e-5 densusp target of the benchmark: doubled block words of
+        # up to 32 768 symbols, checked once per distinct transition
+        calls = []
+        spec = ShiftSpec("full", lambda i, j: calls.append((i, j)) or True,
+                         successors_hint=full.successors_hint, transitive_declared=True)
+        target = convex_combination(
+            [
+                (Fraction(1, 2), fixed_point_measure(spec, 6)),
+                (Fraction(1, 2), fixed_point_measure(spec, 1)),
+            ]
+        )
+        words = []
+        marks = []
+        real_block_word = suspension._block_word
+
+        def block_word(spec, cycles, reps, caps):
+            marks.append(len(calls))
+            words.append(real_block_word(spec, cycles, reps, caps))
+            return words[-1]
+
+        # metric d reads the shift's canonical prefix; enumerate it first
+        canonical_cylinders(spec, 18)
+        calls.clear()
+        with mock.patch.object(suspension, "_block_word", block_word):
+            res = approximate_by_single_orbit(target, log1p_roof(), Fraction(1, 10**5), spec)
+        marks.append(len(calls))
+        assert len(res.word) == 32_768
+        assert len(words) > 10
+        for word, before, after in zip(words, marks, marks[1:]):
+            distinct = len(set(zip(word, word[1:] + word[:1])))
+            junctions = 2  # between the two blocks, and the wrap
+            assert after - before <= distinct + junctions
 
 
 class TestRoofParsing:
