@@ -2,7 +2,6 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import settings
 
 from cmshift.measures import convex_combination, measure_from_cycle
 from cmshift.shifts import (
@@ -16,10 +15,6 @@ from cmshift.shifts import (
     star_shift,
     successor_iter,
 )
-
-# `--hypothesis-profile=ci` selects it: the same example counts, and a
-# failing example prints a blob that `@reproduce_failure` replays locally
-settings.register_profile("ci", print_blob=True)
 
 
 @pytest.fixture(scope="session")
