@@ -17,12 +17,17 @@ The base is not canonical.  `+` is a left fold: each sum merges the
 two operands' bases, and what it splits depends on how the terms were
 grouped.  `(log 6 + log 2) + log 1/2` gives the base {2: 1, 3: 1}, while
 `log 6 + (log 2 + log 1/2)` gives {6: 1}.  Reports print that base, so
-accumulation loops add term by term and there is deliberately no
-one-shot `sum`, which would group differently and change report bytes.
-Each `+` of operands of n and k terms costs n + k gcds against two
-products to find the terms that share a factor with the other operand,
-and splits only those: O(n' * k') gcds when n' and k' of them do (see
-`_merge`).
+sums keep the grouping of a left fold.  Each `+` of operands of n and k
+terms costs n + k gcds against two products to find the terms that
+share a factor with the other operand, and splits only those: O(n' * k')
+gcds when n' and k' of them do (see `_merge`).
+
+`fold_sum(pairs)` is the one-shot form of the same fold: it returns
+`((0 + w1 * v1) + w2 * v2) + ...` with exactly the normal form that
+fold gives.  It keeps the running sum as integer numerators over one
+common denominator, so an added term that shares no factor with the sum
+costs one C-level gcd per accumulated base and no `Fraction` work; the
+normal form is built once, at the end.
 
 Numeric enclosures are directed rational intervals: `eval_interval(p)`
 returns a bracket of width at most 2**-p whose endpoints are dyadic
@@ -35,13 +40,15 @@ overlap.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from itertools import compress, repeat
 from math import gcd
 from numbers import Rational
 
-__all__ = ["Interval", "LogLinear", "log_interval"]
+__all__ = ["Interval", "LogLinear", "fold_sum", "log_interval"]
 
 _ZERO = Fraction(0)
 
@@ -133,38 +140,53 @@ def _cmp_pow2(x: Fraction, m: int) -> int:
 
 
 def _log_in_1_2(u: Fraction, prec: int) -> Interval:
-    """Enclosure of log(u) for 1 <= u <= 2, width <= 2**-prec."""
+    """Enclosure of log(u) for 1 <= u <= 2, width <= 2**-prec.
+
+    log u = 2 atanh z = 2 * sum_j z**(2j+1) / (2j+1) with z = (u-1)/(u+1)
+    <= 1/3.  The series runs on integers at scale S = 2**bits: z, the
+    powers and both partial sums are held as S times their value, floored
+    for the lower sum and ceiled for the upper one, and z**2 exactly at
+    scale S**2.  Each step forms the next power exactly at scale S**3 and
+    floors or ceils it and its sum back to scale S with `//` and shifts.
+    The series stops once twice the geometric tail bound
+    z**(k+2) z**2 / ((k+2) (1 - z**2)) is at most 2**-(prec+2), decided by
+    one integer comparison; the last power is then added exactly, and
+    each endpoint is one floor or ceiling of the exact value at scale
+    2**(prec+2).  The endpoints are those of the same series evaluated
+    in `Fraction`s with the same directed roundings.  If the result is
+    wider than 2**-prec, the series reruns with 16 more bits.
+    """
     if u == 1:
         return Interval(_ZERO, _ZERO)
+    num, den = u.numerator - u.denominator, u.numerator + u.denominator
     bits = prec + 10
     while True:
-        z = (u - 1) / (u + 1)
-        z_lo = _dyadic_floor(z, bits)
-        z_hi = _dyadic_ceil(z, bits)
-        target = Fraction(1, 1 << (prec + 2))
+        two, three = 2 * bits, 3 * bits
+        out_shift = three - (prec + 3)  # from scale S**3 to 2 * 2**(prec+2)
+        z_lo = (num << bits) // den
+        z_hi = -((-num << bits) // den)
+        zz_lo, zz_hi = z_lo * z_lo, z_hi * z_hi
+        one_minus_zz = (1 << two) - zz_hi  # 1 - z_hi**2 at scale S**2
         lo_sum, hi_sum = z_lo, z_hi
         pow_lo, pow_hi = z_lo, z_hi
-        z2_lo, z2_hi = z_lo * z_lo, z_hi * z_hi
         k = 1
         while True:
-            pow_lo *= z2_lo
-            pow_hi *= z2_hi
+            x_lo = pow_lo * zz_lo
+            x_hi = pow_hi * zz_hi
             k += 2
-            lo_sum += pow_lo / k
-            hi_sum += pow_hi / k
-            tail = pow_hi * z2_hi / ((k + 2) * (1 - z2_hi))
-            if 2 * tail <= target:
+            if (x_hi * zz_hi) << (prec + 3) <= ((k + 2) * one_minus_zz) << three:
                 break
-            lo_sum = _dyadic_floor(lo_sum, bits)
-            hi_sum = _dyadic_ceil(hi_sum, bits)
-            pow_lo = _dyadic_floor(pow_lo, bits)
-            pow_hi = _dyadic_ceil(pow_hi, bits)
-        out = Interval(
-            _dyadic_floor(2 * lo_sum, prec + 2),
-            _dyadic_ceil(2 * (hi_sum + tail), prec + 2),
-        )
-        if out.width <= Fraction(1, 1 << prec):
-            return out
+            lo_sum += x_lo // (k << two)
+            hi_sum -= -x_hi // (k << two)
+            pow_lo = x_lo >> two
+            pow_hi = -(-x_hi >> two)
+        # lo_sum + x_lo / k and hi_sum + x_hi / k + tail, at scale S**3
+        lo = ((lo_sum * k << two) + x_lo) // (k << out_shift)
+        d = (k + 2) * one_minus_zz
+        hi_num = ((hi_sum * k << two) + x_hi) * d + x_hi * zz_hi * k
+        hi = -(-hi_num // (k * d << out_shift))
+        if hi - lo <= 4:  # width (hi - lo) / 2**(prec+2) <= 2**-prec
+            return Interval(Fraction(lo, 1 << (prec + 2)), Fraction(hi, 1 << (prec + 2)))
         bits += 16
 
 
@@ -212,38 +234,23 @@ def _merge(left, right) -> dict[int, Fraction]:
     pops work items from the end and splits each against the first base,
     in insertion order, that shares a factor with it.
 
-    Only the terms that interact enter the split loop.  A term is hit
-    when its base shares a factor with a base of the other operand; one
-    gcd per term against a product finds them all: each base of the
-    larger operand against the product of the smaller operand's bases,
-    then each base of the smaller operand against the product of the
-    larger operand's hit bases.  Every other term is copied into the
-    result as it is.  This is exact for every sign pattern: each piece
-    the loop creates divides a base of the other operand or a hit base
-    of the term's own operand, and the bases of one operand are pairwise
-    coprime, so a term that is not hit is coprime to every piece.  No
-    piece can equal it, its scan finds no factor, and leaving it out of
-    every scan changes no scan's first hit.  The two hit subsets are
-    still normal forms, and the loop below runs on them as the general
-    merge would, except that gcd tests known to give 1 are skipped, so
-    the first hit of each scan, and hence the result, is unchanged.
-    Skipped are the tests of
-
-    * an input term against the bases inserted by its own list, whose
-      terms are pairwise coprime;
-    * the piece b // g of a popped term b, as for b, since it divides b;
-    * the pieces g and e // g of a split base e against the bases that
-      input terms inserted: the bases stay pairwise coprime, so e was
-      coprime to all of them, and no input term is popped while a piece
-      is pending.
-
-    A base inserted by an input term carries its list's bit (1 for left,
-    2 for right), a base inserted by a piece carries 0.  A work item
-    carries the mask of bits it may skip and scans `views[mask]`, the
-    bases whose bit is not in the mask.  A sum of n and k terms of which
-    n' and k' are hit so costs n + k gcds against two products, plus
-    O(n' * k') gcds and O(n' + k') per base a piece inserted; terms that
-    share no factor with the other operand cost one gcd each.
+    Only the terms that interact enter the split loop (`_split`).  A term
+    is hit when its base shares a factor with a base of the other
+    operand; one gcd per term against a product finds them all: each
+    base of the larger operand against the product of the smaller
+    operand's bases, then each base of the smaller operand against the
+    product of the larger operand's hit bases.  Every other term is
+    copied into the result as it is.  This is exact for every sign
+    pattern: each piece the loop creates divides a base of the other
+    operand or a hit base of the term's own operand, and the bases of one
+    operand are pairwise coprime, so a term that is not hit is coprime to
+    every piece.  No piece can equal it, its scan finds no factor, and
+    leaving it out of every scan changes no scan's first hit.  The two
+    hit subsets are still normal forms, and `_split` runs on them as the
+    general merge would, so the result is unchanged.  A sum of n and k
+    terms of which n' and k' are hit so costs n + k gcds against two
+    products plus the split of the hits; terms that share no factor with
+    the other operand cost one gcd each.
     """
     small, large = (left, right) if len(left) <= len(right) else (right, left)
     p = math.prod(b for b, _ in small)
@@ -259,6 +266,39 @@ def _merge(left, right) -> dict[int, Fraction]:
                 work.append((b, c, bit, bit))
             else:
                 bases[b] = c
+    _split(bases, work)
+    return bases
+
+
+def _split(bases: dict, work: list) -> None:
+    """Add the hit terms in `work` into `bases`, splitting by gcd.
+
+    `work` holds the left operand's hit terms as `(b, c, 1, 1)`, in
+    ascending base order, then the right operand's as `(b, c, 2, 2)`;
+    items are popped from the end.  `bases` holds the terms that are not
+    hit, which no scan needs to see (see `_merge`), and receives the
+    result in place.  The loop is the general merge's, except that gcd
+    tests known to give 1 are skipped, so the first hit of each scan is
+    unchanged.  Skipped are the tests of
+
+    * an input term against the bases inserted by its own list, whose
+      terms are pairwise coprime;
+    * the piece b // g of a popped term b, as for b, since it divides b;
+    * the pieces g and e // g of a split base e against the bases that
+      input terms inserted: the bases stay pairwise coprime, so e was
+      coprime to all of them, and no input term is popped while a piece
+      is pending.
+
+    A base inserted by an input term carries its list's bit (1 for left,
+    2 for right), a base inserted by a piece carries 0.  A work item
+    carries the mask of bits it may skip and scans `views[mask]`, the
+    bases whose bit is not in the mask.  For n' and k' hit terms this
+    costs O(n' * k') gcds and O(n' + k') per base a piece inserted.
+
+    Coefficients are `Fraction`s for `+` and integer numerators over one
+    positive common denominator for `fold_sum`: the loop branches only on
+    bases and on a coefficient being zero, which scaling leaves alone.
+    """
     views: dict[int, dict[int, None]] = {1: {}, 2: {}, 3: {}}
     while work:
         b, c, mask, bit = work.pop()
@@ -286,7 +326,63 @@ def _merge(left, right) -> dict[int, Fraction]:
             for m, view in views.items():
                 if not m & bit:
                     view[b] = None
-    return bases
+
+
+def fold_sum(pairs: Iterable[tuple[Rational, "LogLinear"]]) -> "LogLinear":
+    """The left fold `((0 + w1 * v1) + w2 * v2) + ...` of rational weights
+    times `LogLinear` values, with exactly the normal form of that fold.
+
+    The running log terms are integer numerators over one common
+    denominator `den`; a term whose coefficient needs a new denominator
+    rescales them to the lcm.  Each added value's bases are tested
+    against the accumulated ones with one C-level gcd pass against their
+    product.  Terms that share no factor with the other side are copied
+    in; the rest go through `_split` exactly as `+` sends them through
+    `_merge`, the accumulator's hits in ascending base order as its
+    sorted normal form lists them.  Weights of 0 are skipped, as
+    `0 * v` is zero.  The normal form is built once, at the end.
+    """
+    q = _ZERO
+    nums: dict[int, int] = {}
+    den = 1
+    for w, v in pairs:
+        if not w:
+            continue
+        if v.rational:
+            q += w * v.rational
+        if not v.logs:
+            continue
+        wn, wd = w.numerator, w.denominator
+        terms = []
+        new_den = den
+        for b, c in v.logs:
+            n, d = c.numerator * wn, c.denominator * wd
+            g = gcd(n, d)
+            if g > 1:
+                n, d = n // g, d // g
+            if new_den % d:
+                new_den = new_den // gcd(new_den, d) * d
+            terms.append((b, n, d))
+        if new_den != den:
+            r = new_den // den
+            nums = {b: n * r for b, n in nums.items()}
+            den = new_den
+        terms = [(b, n * (den // d)) for b, n, d in terms]
+        p = math.prod([b for b, _ in terms])
+        # the accumulated bases with gcd(b, p) > 1, in one C-level pass
+        hits = sorted(compress(nums, map((1).__lt__, map(gcd, nums, repeat(p)))))
+        if not hits:
+            nums.update(terms)
+            continue
+        work = [(b, nums.pop(b), 1, 1) for b in hits]
+        p = math.prod(hits)
+        for b, n in terms:
+            if gcd(b, p) > 1:
+                work.append((b, n, 2, 2))
+            else:
+                nums[b] = n
+        _split(nums, work)
+    return LogLinear(q, tuple(sorted((b, Fraction(n, den)) for b, n in nums.items())))
 
 
 @dataclass(frozen=True, eq=False)
@@ -461,8 +557,13 @@ class LogLinear:
         return Interval(lo, hi).rounded(prec + 1)
 
     def __float__(self) -> float:
-        # display convenience; certified values come from eval_interval
-        return float(self.rational) + sum(float(c) * math.log(b) for b, c in self.logs)
+        # display convenience; certified values come from eval_interval.
+        # An explicit left-to-right loop: builtin sum() of floats is
+        # compensated from Python 3.12 on and would change the last digit.
+        total = 0.0
+        for b, c in self.logs:
+            total += float(c) * math.log(b)
+        return float(self.rational) + total
 
     def to_jsonable(self) -> dict:
         return {

@@ -25,7 +25,7 @@ from .asymptotics import (
     first_return_loops,
     sequence_from_measures,
 )
-from .exactval import Interval, LogLinear
+from .exactval import Interval, LogLinear, fold_sum
 from .measures import (
     ConvexCombination,
     PeriodicMeasure,
@@ -88,6 +88,10 @@ class ApproximationError(RuntimeError):
         self.best = best
 
 
+# one shared zero, so that positivity tests compute its enclosure once
+_ZERO = LogLinear.zero()
+
+
 def _as_value(x) -> LogLinear:
     if isinstance(x, LogLinear):
         return x
@@ -124,6 +128,8 @@ class RoofFunction:
 
     `floor` is the claimed positive lower bound c; it is supplied, not
     inferred, and `class_R_check` validates it on everything it can see.
+    Table values must be positive; values in (0, c) are accepted, and
+    `class_R_check` reports them.
     """
 
     name: str
@@ -141,9 +147,11 @@ class RoofFunction:
             "table",
             {tuple(w): _as_value(v) for w, v in dict(self.table).items()},
         )
-        for w in self.table:
+        for w, v in self.table.items():
             if len(w) != self.depth:
                 raise ValueError(f"table word {w} does not have depth {self.depth}")
+            if v <= _ZERO:
+                raise ValueError("roof values must be positive")
         if _as_value(self.floor).sign() <= 0:
             raise ValueError("the lower bound c must be positive")
 
@@ -392,22 +400,19 @@ def birkhoff_sum(roof: RoofFunction, orbit: PeriodicOrbit) -> LogLinear:
 
     The depth-k windows come from one cyclic window count
     (`_cyclic_window_counts`) in first-occurrence order, and each
-    distinct window adds count * value to the left fold.
+    distinct window adds count * value to the left fold (`fold_sum`).
     """
-    total = LogLinear.zero()
-    for w, count in _cyclic_window_counts(orbit.cycle, roof.depth).items():
-        total = total + count * roof_eval(roof, w)
-    return total
+    windows = _cyclic_window_counts(orbit.cycle, roof.depth)
+    return fold_sum([(count, roof_eval(roof, w)) for w, count in windows.items()])
 
 
 def roof_integral(roof: RoofFunction, nu: ConvexCombination) -> LogLinear:
     """Integral of the roof against a probability combination; exact."""
     if nu.mass != 1:
         raise ValueError(f"roof integrals are taken against probabilities; mass={nu.mass}")
-    total = LogLinear.zero()
-    for w, mu in nu.terms:
-        total = total + (w / Fraction(mu.period)) * birkhoff_sum(roof, mu.orbit)
-    return total
+    return fold_sum(
+        [(w / Fraction(mu.period), birkhoff_sum(roof, mu.orbit)) for w, mu in nu.terms]
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -568,11 +573,11 @@ def _limit_table_integral(roof: RoofFunction, table) -> LogLinear:
         raise ValueError(
             f"limit table depth {depth} is shallower than the roof depth {roof.depth}"
         )
-    total = LogLinear.zero()
-    for w, v in table.entries.items():
-        if len(w) == roof.depth and v != 0:
-            total = total + v * roof_eval(roof, w)
-    return total
+    return fold_sum([
+        (v, roof_eval(roof, w))
+        for w, v in table.entries.items()
+        if len(w) == roof.depth and v != 0
+    ])
 
 
 def flow_limit_analyze(

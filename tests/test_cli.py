@@ -139,6 +139,16 @@ class TestVerbs:
         verdict = read_json(out, "flow_classr")["class_r"]["tail_verdict"]
         assert verdict == "fails-constant-at-horizon"
 
+    def test_flow_integral_display_is_a_left_to_right_float_sum(self, tmp_path):
+        # builtin sum() of floats is compensated from Python 3.12 on; the
+        # display value must not depend on the interpreter version
+        code, out = run_cli(
+            tmp_path, "flow", "integral", "--roof", "log1p",
+            "--combo", "1:(3,17,250,9999,4,77,1000,12,5,6001)",
+        )
+        assert code == EXIT_OK
+        assert read_json(out, "flow_integral")["integral"]["display"] == 4.494391780125285
+
     def test_densusp_writes_orbit_and_certificates(self, tmp_path):
         code, out = run_cli(
             tmp_path, "densusp", "--shift", "full", "--target", "1/2:(1);1/2:(2)",
@@ -412,3 +422,16 @@ class TestExitCodeContract:
         argv = [*path, *CONTRACT_BASE[path], option, value]
         code, _ = run_cli(tmp_path, *argv)
         assert code in (EXIT_OK, EXIT_CONFIG, EXIT_EXHAUSTED), argv
+
+    @pytest.mark.parametrize("path", [
+        path for path, parser in _leaf_parsers(cli.build_parser())
+        if any("--roof-file" in a.option_strings for a in parser._actions)
+    ], ids="-".join)
+    @pytest.mark.parametrize("value", ["-5", "0"])
+    def test_nonpositive_roof_table_value_is_config_error(self, tmp_path, capsys, path, value):
+        roof = tmp_path / "roof.txt"
+        roof.write_text(f"table 1 : {value}\ntail log1p\nc log:2\n")
+        code, out = run_cli(tmp_path, *path, *CONTRACT_BASE[path], "--roof-file", str(roof))
+        assert code == EXIT_CONFIG
+        assert "roof values must be positive" in capsys.readouterr().err
+        assert not out.exists()

@@ -1,3 +1,4 @@
+import functools
 import math
 from fractions import Fraction
 from math import gcd
@@ -7,11 +8,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cmshift import exactval
-from cmshift.exactval import Interval, LogLinear, _merge, log_interval
-from cmshift.measures import convex_combination, measure_from_cycle, periodic_orbit
+from cmshift import exactval, suspension
+from cmshift.exactval import Interval, LogLinear, _log_in_1_2, _merge, fold_sum, log_interval
+from cmshift.measures import (
+    CylinderFunction, convex_combination, measure_from_cycle, periodic_orbit,
+)
 from cmshift.shifts import full_shift
-from cmshift.suspension import RoofFunction, birkhoff_sum, log1p_roof, roof_integral, tail_log1p
+from cmshift.suspension import (
+    RoofFunction, _limit_table_integral, birkhoff_sum, log1p_roof, roof_integral, tail_log1p,
+)
 
 
 def coprime_merge_oracle(pairs) -> dict[int, Fraction]:
@@ -58,6 +63,48 @@ def oracle_merge(left, right) -> dict[int, Fraction]:
     return coprime_merge_oracle(list(left) + list(right))
 
 
+def oracle_fold(pairs) -> LogLinear:
+    """The left fold ((0 + w1 * v1) + w2 * v2) + ... with `+`, whose merge
+    is `coprime_merge_oracle`; `fold_sum` must give exactly its result."""
+    with mock.patch.object(exactval, "_merge", oracle_merge):
+        return functools.reduce(lambda acc, wv: acc + wv[0] * wv[1], pairs, LogLinear.zero())
+
+
+def fraction_log_in_1_2(u: Fraction, prec: int) -> Interval:
+    """The atanh series of `exactval._log_in_1_2` evaluated in `Fraction`s,
+    with the same directed roundings; its endpoints must be identical."""
+    floor, ceil = exactval._dyadic_floor, exactval._dyadic_ceil
+    if u == 1:
+        return Interval(Fraction(0), Fraction(0))
+    bits = prec + 10
+    while True:
+        z = (u - 1) / (u + 1)
+        z_lo = floor(z, bits)
+        z_hi = ceil(z, bits)
+        target = Fraction(1, 1 << (prec + 2))
+        lo_sum, hi_sum = z_lo, z_hi
+        pow_lo, pow_hi = z_lo, z_hi
+        z2_lo, z2_hi = z_lo * z_lo, z_hi * z_hi
+        k = 1
+        while True:
+            pow_lo *= z2_lo
+            pow_hi *= z2_hi
+            k += 2
+            lo_sum += pow_lo / k
+            hi_sum += pow_hi / k
+            tail = pow_hi * z2_hi / ((k + 2) * (1 - z2_hi))
+            if 2 * tail <= target:
+                break
+            lo_sum = floor(lo_sum, bits)
+            hi_sum = ceil(hi_sum, bits)
+            pow_lo = floor(pow_lo, bits)
+            pow_hi = ceil(pow_hi, bits)
+        out = Interval(floor(2 * lo_sum, prec + 2), ceil(2 * (hi_sum + tail), prec + 2))
+        if out.width <= Fraction(1, 1 << prec):
+            return out
+        bits += 16
+
+
 positive_rationals = st.builds(
     Fraction,
     st.integers(min_value=1, max_value=10_000),
@@ -93,6 +140,39 @@ class TestLogInterval:
         iv = log_interval(x, 60)
         assert float(iv.lo) <= math.log(x) + 1e-12
         assert float(iv.hi) >= math.log(x) - 1e-12
+
+
+LOG_SERIES_ARGS = [
+    pytest.param(Fraction(1), id="1"),
+    pytest.param(Fraction(2), id="2"),
+    pytest.param(1 + Fraction(1, 10**30), id="1+1e-30"),
+    pytest.param(Fraction(3, 2), id="3/2"),
+    pytest.param(Fraction(2**61 - 1, 2**60), id="mersenne61/2^60"),
+    pytest.param(Fraction(10**40 + 7, 10**40 - 3), id="near-1-40-digits"),
+    pytest.param(2 - Fraction(1, 3**50), id="2-3^-50"),
+    pytest.param(Fraction(2**200 + 1, 2**199 + 5), id="near-2-61-digits"),
+]
+
+
+class TestLogSeriesKernel:
+    @pytest.mark.parametrize("u", LOG_SERIES_ARGS)
+    def test_integer_series_matches_fraction_series(self, u):
+        for prec in range(1, 257):
+            assert _log_in_1_2(u, prec) == fraction_log_in_1_2(u, prec), prec
+
+    @given(
+        num=st.integers(0, 10**45),
+        den=st.one_of(st.integers(1, 10**6), st.integers(1, 10**45)),
+        prec=st.integers(1, 256),
+    )
+    # rare cases where rounding the lower sum's powers z**k up instead of
+    # down at scale 2**bits moves the lower endpoint
+    @example(num=110671 - 64882, den=64882, prec=33)
+    @example(num=672172 - 341931, den=341931, prec=9)
+    @settings(max_examples=150, deadline=None)
+    def test_random_arguments_match_fraction_series(self, num, den, prec):
+        u = 1 + Fraction(num % den, den)  # in [1, 2)
+        assert _log_in_1_2(u, prec) == fraction_log_in_1_2(u, prec)
 
 
 class TestInterval:
@@ -223,6 +303,29 @@ def sparse_merge_operands(draw):
     return oracle_normal_form(raw_a), oracle_normal_form(draw(st.permutations(raw_b)))
 
 
+fold_weights = st.one_of(
+    st.just(0),
+    st.integers(-5, 5),
+    st.builds(Fraction, st.integers(-12, 12), st.integers(1, 12)),
+)
+fold_values = st.builds(
+    lambda q, raw: LogLinear(q, oracle_normal_form(raw)),
+    st.one_of(st.just(Fraction(0)), small_rationals),
+    st.one_of(st.just([]), raw_terms),  # rational-only values too
+)
+
+
+@st.composite
+def fold_pairs(draw):
+    """(weight, value) pairs over often-shared bases; some pairs are
+    repeated with the weight negated, so that sums cancel, often to 0."""
+    pairs = draw(st.lists(st.tuples(fold_weights, fold_values), max_size=12))
+    if pairs:
+        again = draw(st.lists(st.sampled_from(pairs), max_size=len(pairs)))
+        pairs = draw(st.permutations(pairs + [(-w, v) for w, v in again]))
+    return pairs
+
+
 def _assert_normal_form(logs):
     keys = [b for b, _ in logs]
     assert keys == sorted(keys)
@@ -287,6 +390,20 @@ class TestMergeKernel:
         assert (log6 + (log2 + half)).logs == ((6, 1),)
         assert (log6 + log2) + half == log6 + (log2 + half)
 
+    @given(pairs=fold_pairs())
+    @example(pairs=[(1, LogLinear.log_of(6)), (-1, LogLinear.log_of(6))])
+    @example(pairs=[(1, LogLinear.log_of(6)), (1, LogLinear.log_of(2)),
+                    (1, LogLinear.log_of(Fraction(1, 2)))])
+    @example(pairs=[(Fraction(1, 3), LogLinear.log_of(8)), (0, LogLinear.log_of(5)),
+                    (Fraction(-2, 7), LogLinear.log_of(12)), (5, LogLinear.from_rational(3))])
+    @example(pairs=[])
+    @example(pairs=[(0, LogLinear.log_of(7))])
+    @settings(max_examples=300, deadline=None)
+    def test_fold_sum_matches_oracle_left_fold(self, pairs):
+        got, want = fold_sum(pairs), oracle_fold(pairs)
+        assert (got.rational, got.logs) == (want.rational, want.logs)
+        _assert_normal_form(got.logs)
+
     @given(
         cycles=st.lists(
             st.lists(st.integers(min_value=1, max_value=48), min_size=1, max_size=40),
@@ -308,7 +425,8 @@ class TestMergeKernel:
             RoofFunction(
                 name="t2",
                 depth=2,
-                table={w: LogLinear.log_of(r) + 1 for w, r in table.items()},
+                # log r + 4 > 0 for r >= 1/30: roof values must be positive
+                table={w: LogLinear.log_of(r) + 4 for w, r in table.items()},
                 tail=tail_log1p(),
                 floor=LogLinear.log_of(2),
                 var2_bound=Fraction(0),
@@ -319,15 +437,18 @@ class TestMergeKernel:
             (Fraction(w, total), measure_from_cycle(full, c)) for w, c in zip(weights, cycles)
         )
 
+        limit_table = CylinderFunction.from_combo(combo, 2, 48)
+
         def run():
             out = []
             for roof in roofs:
                 out += [birkhoff_sum(roof, periodic_orbit(full, c)) for c in cycles]
                 out.append(roof_integral(roof, combo))
+                out.append(_limit_table_integral(roof, limit_table))
             return [(v.rational, v.logs) for v in out]
 
         got = run()
-        with mock.patch.object(exactval, "_merge", oracle_merge):
+        with mock.patch.object(suspension, "fold_sum", oracle_fold):
             want = run()
         assert got == want
 
