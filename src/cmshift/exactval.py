@@ -506,7 +506,12 @@ class LogLinear:
 
     @cached_property
     def _enclosure(self) -> Interval:
-        return self.eval_interval(32)  # the precision `sign` starts at
+        # a rational value is its own point enclosure, which decides every
+        # comparison that a rounded one decides; otherwise the precision
+        # `sign` starts at
+        if not self.logs:
+            return Interval.point(self.rational)
+        return self.eval_interval(32)
 
     def _compare(self, o: "LogLinear") -> int:
         """Sign of self - o, from the cached enclosures when they are disjoint."""

@@ -32,6 +32,7 @@ from .shifts import (
 __all__ = [
     "PeriodicOrbit",
     "PeriodicMeasure",
+    "RunWord",
     "ConvexCombination",
     "CylinderFunction",
     "TestFunction",
@@ -153,16 +154,80 @@ def fixed_point_measure(spec: ShiftSpec, symbol: int) -> PeriodicMeasure:
     return measure_from_cycle(spec, (symbol,))
 
 
-def _cyclic_window_counts(cycle: Word, length: int) -> Counter[Word]:
-    """How often each word of `length` symbols is read cyclically from a
-    start j in [0, period).
+@dataclass(frozen=True)
+class RunWord:
+    """The cyclic word s_1^r_1 s_2^r_2 ... held as its runs
+    ((s_1, r_1), (s_2, r_2), ...): nonempty segments, repeats >= 1.
 
-    One C-level count over `length` shifted slices of the cycle repeated
-    far enough to wrap: O(period * length) whatever the symbols are.
+    Window counts (`_run_window_counts`), and with them cylinder masses
+    and Birkhoff sums, read the runs and never build the word.
+    """
+
+    runs: tuple[tuple[Word, int], ...]
+
+    @property
+    def period(self) -> int:
+        return sum(len(s) * r for s, r in self.runs)
+
+
+def _cyclic_window_counts(
+    cycle: Word, length: int, follow: Word | None = None
+) -> Counter[Word]:
+    """How often each word of `length` symbols is read from a start j in
+    [0, period), keyed in first-occurrence order.
+
+    Reading runs on past the end of the cycle into `follow` (at least
+    length - 1 symbols), by default into the cycle itself, cyclically.
+    One C-level count over `length` shifted slices of that extension:
+    O(period * length) whatever the symbols are.
     """
     T = len(cycle)
-    ext = cycle * ((length - 1) // T + 2)
+    ext = cycle * ((length - 1) // T + 2) if follow is None else cycle + follow
     return Counter(zip(*[ext[i : i + T] for i in range(length)]))
+
+
+def _next_symbols(runs: tuple[tuple[Word, int], ...], i: int, n: int) -> Word:
+    """The n symbols that follow run i of a cyclic run word, wrapping
+    around the word as often as n asks for."""
+    out: list[int] = []
+    while len(out) < n:
+        i = (i + 1) % len(runs)
+        seg, r = runs[i]
+        out.extend(seg * min(r, -(-(n - len(out)) // len(seg))))
+    return tuple(out[:n])
+
+
+def _run_window_counts(
+    runs: tuple[tuple[Word, int], ...], length: int
+) -> Counter[Word]:
+    """`_cyclic_window_counts` of the word of a `RunWord`, with the same
+    counts in the same key order, from its runs.
+
+    Let m = min(r, ceil((length - 1) / |s|)) for a run s^r.  A window
+    that starts in one of its first r - m copies ends inside the run, so
+    those copies read r - m times the cyclic windows of s.  The windows
+    that start in the last m copies are read from s*m followed by the
+    next length - 1 symbols of the word.  Keys enter in start order, as
+    in the built word.  The cost is O(sum(|s| + length) * length),
+    whatever the repeats are.
+    """
+    counts: Counter[Word] = Counter()
+    for i, (seg, r) in enumerate(runs):
+        m = min(r, -(-(length - 1) // len(seg)))
+        if r > m:
+            for w, c in _cyclic_window_counts(seg, length).items():
+                counts[w] += (r - m) * c
+        if m:
+            follow = _next_symbols(runs, i, length - 1)
+            counts.update(_cyclic_window_counts(seg * m, length, follow))
+    return counts
+
+
+def _window_counts(orbit: PeriodicOrbit | RunWord, length: int) -> Counter[Word]:
+    """Cyclic window counts of a periodic orbit or of a run word."""
+    if isinstance(orbit, RunWord):
+        return _run_window_counts(orbit.runs, length)
+    return _cyclic_window_counts(orbit.cycle, length)
 
 
 def measure_of_cylinder(mu: PeriodicMeasure, word: Iterable[int]) -> Fraction:
@@ -232,14 +297,18 @@ def combo_of_cylinder(nu: ConvexCombination, word: Iterable[int]) -> Fraction:
 
 
 def cylinder_masses(
-    nu: ConvexCombination | PeriodicMeasure, words: list[Word]
+    nu: ConvexCombination | PeriodicMeasure | RunWord, words: list[Word]
 ) -> list[Fraction]:
     """Exact masses of the cylinders of `words`, in order.
 
     Each orbit is counted once per distinct word length among `words`
-    (`_cyclic_window_counts`) and each word is then one lookup per
-    orbit, so no word is searched for in a cycle.  The values equal
-    `combo_of_cylinder` (or `measure_of_cylinder`) word by word.
+    (`_cyclic_window_counts`, or `_run_window_counts` for the periodic
+    measure of a `RunWord`) and each word is then one lookup per orbit,
+    so no word is searched for in a cycle.  The values equal
+    `combo_of_cylinder` (or `measure_of_cylinder`) word by word.  A run
+    word's masses equal those of the measure on its built word, since
+    count / period does not change when a word is replaced by its
+    primitive root.
     """
     terms = nu.terms if isinstance(nu, ConvexCombination) else ((1, nu),)
     lengths = {len(w) for w in words}
@@ -247,12 +316,13 @@ def cylinder_masses(
         raise ValueError("cylinder words are nonempty")
     masses = [Fraction(0)] * len(words)
     for wt, mu in terms:
-        cycle = mu.orbit.cycle
-        counts = {r: _cyclic_window_counts(cycle, r) for r in lengths}
+        orbit = mu if isinstance(mu, RunWord) else mu.orbit
+        counts = {r: _window_counts(orbit, r) for r in lengths}
+        period = orbit.period
         for n, w in enumerate(words):
             c = counts[len(w)].get(w)
             if c:
-                masses[n] += wt * Fraction(c, len(cycle))
+                masses[n] += wt * Fraction(c, period)
     return masses
 
 
@@ -534,9 +604,16 @@ def metric_d(a, b, N: int, spec: ShiftSpec) -> tuple[Fraction, Fraction]:
     if N < 1:
         raise ValueError("N must be >= 1")
     words = canonical_cylinders(spec, N)
+    return _metric_bracket(_cylinder_values(a, words), _cylinder_values(b, words), N)
+
+
+def _metric_bracket(
+    values_a: Iterable[Fraction], values_b: Iterable[Fraction], N: int
+) -> tuple[Fraction, Fraction]:
+    """The `metric_d` bracket from the values of both sides on the first
+    N canonical cylinders, in canonical order."""
     lower = Fraction(0)
-    pairs = zip(_cylinder_values(a, words), _cylinder_values(b, words))
-    for n, (va, vb) in enumerate(pairs, start=1):
+    for n, (va, vb) in enumerate(zip(values_a, values_b), start=1):
         if va != vb:
             lower += Fraction(1, 2**n) * abs(va - vb)
     return lower, lower + Fraction(1, 2**N)

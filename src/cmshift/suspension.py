@@ -10,6 +10,7 @@ come out as directed rational brackets.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass
@@ -30,7 +31,9 @@ from .measures import (
     ConvexCombination,
     PeriodicMeasure,
     PeriodicOrbit,
-    _cyclic_window_counts,
+    RunWord,
+    _metric_bracket,
+    _window_counts,
     canonical_cylinders,
     combo_of_cylinder,
     convex_combination,
@@ -38,7 +41,14 @@ from .measures import (
     measure_from_cycle,
     metric_d,
 )
-from .shifts import SearchCaps, ShiftSpec, Word, connect, f_property_probe
+from .shifts import (
+    SearchCaps,
+    ShiftSpec,
+    Word,
+    connect,
+    f_property_probe,
+    is_admissible,
+)
 
 __all__ = [
     "TailRule",
@@ -395,14 +405,15 @@ def class_R_check(
     )
 
 
-def birkhoff_sum(roof: RoofFunction, orbit: PeriodicOrbit) -> LogLinear:
+def birkhoff_sum(roof: RoofFunction, orbit: PeriodicOrbit | RunWord) -> LogLinear:
     """Sum of the roof along one period, read cyclically; exact.
 
     The depth-k windows come from one cyclic window count
-    (`_cyclic_window_counts`) in first-occurrence order, and each
-    distinct window adds count * value to the left fold (`fold_sum`).
+    (`_cyclic_window_counts`, or `_run_window_counts` for a run word) in
+    first-occurrence order, and each distinct window adds count * value
+    to the left fold (`fold_sum`).
     """
-    windows = _cyclic_window_counts(orbit.cycle, roof.depth)
+    windows = _window_counts(orbit, roof.depth)
     return fold_sum([(count, roof_eval(roof, w)) for w, count in windows.items()])
 
 
@@ -780,11 +791,17 @@ class ApproxResult:
         }
 
 
-def _block_word(
+# no block word is built beyond this many symbols: each doubling doubles
+# the word, and the returned orbit (or exit-3 best) is built in memory
+BLOCK_WORD_CAP = 2**22
+
+
+def _block_runs(
     spec: ShiftSpec, cycles: list[Word], reps: list[int], caps: SearchCaps
-) -> Word:
-    """Concatenate cycle blocks with connecting words, cyclically."""
-    word: list[int] = []
+) -> RunWord:
+    """Cycle blocks joined by connecting words, cyclically, as runs: each
+    cycle repeated its block budget, each connector once."""
+    runs: list[tuple[Word, int]] = []
 
     def _bridge(a: int, b: int) -> None:
         if spec.is_allowed(a, b):
@@ -795,14 +812,19 @@ def _block_word(
         )
         if path is None or len(path) < 3:
             raise ApproximationError(f"no connector from {a} to {b} under the caps")
-        word.extend(path[1:-1])
+        runs.append((tuple(path[1:-1]), 1))
 
     for cyc, r in zip(cycles, reps):
-        if word:
-            _bridge(word[-1], cyc[0])
-        word.extend(cyc * r)
-    _bridge(word[-1], word[0])
-    return tuple(word)
+        if runs:
+            _bridge(runs[-1][0][-1], cyc[0])
+        runs.append((cyc, r))
+    _bridge(runs[-1][0][-1], runs[0][0][0])
+    return RunWord(tuple(runs))
+
+
+def _block_word(block: RunWord) -> Word:
+    """The word of a run word, built."""
+    return tuple(itertools.chain.from_iterable(s * r for s, r in block.runs))
 
 
 def approximate_by_single_orbit(
@@ -817,10 +839,19 @@ def approximate_by_single_orbit(
     combination of periodic measures.
 
     Each component cycle is repeated proportionally to weight/period and
-    the blocks are joined by connecting words; the block budget doubles
+    the blocks are joined by connecting words; the block budget R doubles
     until both certificates hold: the metric upper bound is at most eps
     and the roof-integral gap is at most eps.  Certificates are sound by
-    recomputation: they are evaluated on the returned orbit itself.
+    recomputation: they are exactly those of the returned orbit.
+
+    Each doubling reads the block word in run-length form (`RunWord`):
+    its cylinder masses and Birkhoff sum come from run window counts, so
+    a doubling costs O(sum(|s| + k) * k) per word length k, whatever R
+    is, and the target's masses are computed once.  Admissibility is
+    checked per doubling on a short word with the same symbols and
+    distinct transitions.  The word itself is built once, for the
+    returned orbit or the exit-3 best.  Doubling stops before a block
+    word would exceed `BLOCK_WORD_CAP` symbols.
     """
     eps = Fraction(eps)
     if eps <= 0:
@@ -855,19 +886,10 @@ def approximate_by_single_orbit(
         share = w / len(cyc)
         R0 = R0 * share.denominator // math.gcd(R0, share.denominator)
 
-    best: ApproxResult | None = None
-    R = R0
-    for _ in range(max_doublings):
-        reps = [int(w * R / len(cyc)) for w, cyc in zip(weights, cycles)]
-        word = _block_word(spec, cycles, reps, caps)
-        measure = measure_from_cycle(spec, word)
-        approx = convex_combination([(1, measure)])
-        lo, hi = metric_d(approx, target, N, spec)
-        gap = roof_integral(roof, approx) - target_integral
-        if gap.sign() < 0:
-            gap = -gap
-        result = ApproxResult(
-            measure=measure,
+    def result(R: int, lo: Fraction, hi: Fraction, gap: LogLinear, block: RunWord):
+        word = _block_word(block)
+        return ApproxResult(
+            measure=measure_from_cycle(spec, word),
             repetitions=R,
             metric_bracket=(lo, hi),
             metric_depth=N,
@@ -875,13 +897,41 @@ def approximate_by_single_orbit(
             target_integral=target_integral,
             word=word,
         )
-        if best is None or (hi, gap) < (best.metric_bracket[1], best.integral_gap):
-            best = result
-        if hi <= eps and gap <= LogLinear.from_rational(eps):
-            return result
+
+    words = canonical_cylinders(spec, N)
+    target_masses = cylinder_masses(target, words)
+    eps_value = LogLinear.from_rational(eps)
+    best = None  # (R, lo, hi, gap, block) of the best doubling so far
+    R = R0
+    for _ in range(max_doublings):
+        reps = [int(w * R / len(cyc)) for w, cyc in zip(weights, cycles)]
+        block = _block_runs(spec, cycles, reps, caps)
+        if block.period > BLOCK_WORD_CAP:
+            raise ApproximationError(
+                f"tolerance {eps} not reached within the block-word cap of "
+                f"{BLOCK_WORD_CAP} symbols (the next block word has "
+                f"{block.period}"
+                + ("" if best is None else f"; best metric upper bound {best[2]}")
+                + ")",
+                best=None if best is None else result(*best),
+            )
+        # s^r with r >= 2 has the transitions of s^2, so this short cyclic
+        # word has the block word's symbols and distinct transitions
+        short = tuple(itertools.chain.from_iterable(s * min(r, 2) for s, r in block.runs))
+        if not is_admissible(spec, short + short[:1]):
+            measure_from_cycle(spec, _block_word(block))  # raises its error
+        lo, hi = _metric_bracket(cylinder_masses(block, words), target_masses, N)
+        integral = fold_sum([(Fraction(1, block.period), birkhoff_sum(roof, block))])
+        gap = integral - target_integral
+        if gap.sign() < 0:
+            gap = -gap
+        if best is None or (hi, gap) < (best[2], best[3]):
+            best = (R, lo, hi, gap, block)
+        if hi <= eps and gap <= eps_value:
+            return result(R, lo, hi, gap, block)
         R *= 2
     raise ApproximationError(
         f"tolerance {eps} not reached within {max_doublings} doublings "
-        f"(best metric upper bound {best.metric_bracket[1]})",
-        best=best,
+        f"(best metric upper bound {best[2]})",
+        best=result(*best),
     )

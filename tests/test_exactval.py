@@ -532,3 +532,33 @@ class TestComparisons:
         _assert_order_agrees(x, y + Fraction(1, 2**tiny))
         _assert_order_agrees(x - Fraction(1, 2**tiny), y)
         _assert_order_agrees(x, q)
+
+
+class TestRationalEnclosures:
+    """A value without log terms compares through its point interval."""
+
+    def test_rational_side_evaluates_no_interval(self):
+        x = LogLinear.log_of(3)
+        q = LogLinear.from_rational(Fraction(21, 20))
+        with mock.patch.object(
+            LogLinear, "eval_interval", autospec=True, side_effect=LogLinear.eval_interval
+        ) as spy:
+            assert not x <= q
+            assert q <= x and x >= Fraction(21, 20) and not x < 1
+        assert spy.call_count == 1  # x's enclosure, computed once and cached
+        assert spy.call_args_list[0].args[0] is x
+
+    @given(
+        a=positive_rationals, c=small_rationals, q=small_rationals,
+        shift=st.sampled_from([0, 1, -1]), tiny=st.integers(20, 80),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_compare_equals_sign_of_difference(self, a, c, q, shift, tiny):
+        x = LogLinear.log_of(a) * c + q
+        # rationals at, just above and just below a float of x, and far off
+        near = Fraction(float(x)) + shift * Fraction(1, 2**tiny)
+        for r in (q, near, near + 1, Fraction(0)):
+            y = LogLinear.from_rational(r)
+            assert x._compare(y) == (x - y).sign()
+            assert y._compare(x) == (y - x).sign()
+            _assert_order_agrees(x, r)

@@ -12,7 +12,9 @@ from hypothesis import strategies as st
 
 from cmshift.measures import (
     CylinderFunction,
+    RunWord,
     _cyclic_window_counts,
+    _run_window_counts,
     InadmissibleWordError,
     SymbolCapError,
     TailInteractionError,
@@ -578,6 +580,65 @@ class TestCyclicOccurrences:
         assert counts[word] >= 1
         for w, count in counts.items():
             assert Fraction(count, len(cycle)) == naive_cyclic_mass(cycle, w)
+
+
+def built_word(runs):
+    return tuple(s for seg, r in runs for _ in range(r) for s in seg)
+
+
+_segments = st.lists(st.sampled_from([1, 2, 11, 12]), min_size=1, max_size=4).map(tuple)
+
+
+class TestRunWindowCounts:
+    """The run-length count against the cyclic count of the built word:
+    equal counts, keyed in the same first-occurrence order."""
+
+    def check(self, runs, length):
+        runs = tuple(runs)
+        expected = _cyclic_window_counts(built_word(runs), length)
+        assert list(_run_window_counts(runs, length).items()) == list(expected.items())
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        runs=st.lists(st.tuples(_segments, st.integers(1, 9)), min_size=1, max_size=5),
+        data=st.data(),
+    )
+    def test_matches_the_built_word(self, runs, data):
+        period = RunWord(tuple(runs)).period
+        self.check(runs, data.draw(st.integers(1, 2 * period + 3), label="length"))
+
+    @settings(max_examples=100, deadline=None)
+    @given(seg=_segments, r=st.integers(1, 40), length=st.integers(1, 12))
+    def test_one_run(self, seg, r, length):
+        self.check([(seg, r)], length)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        blocks=st.lists(st.tuples(_segments, st.integers(1, 3)), min_size=2, max_size=3),
+        extra=st.integers(0, 8),
+    )
+    def test_runs_shorter_than_the_window(self, blocks, extra):
+        # every run has r < ceil((length - 1) / |s|), so each is read whole
+        # from its local slice
+        length = max(len(s) * r for s, r in blocks) + 2 + extra
+        self.check(blocks, length)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        runs=st.lists(st.tuples(_segments, st.integers(1, 3)), min_size=1, max_size=3),
+        wraps=st.integers(2, 4),
+        extra=st.integers(0, 3),
+    )
+    def test_window_wraps_the_whole_word(self, runs, wraps, extra):
+        self.check(runs, wraps * RunWord(tuple(runs)).period + extra)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        a=_segments, b=_segments, ra=st.integers(1, 50), rb=st.integers(1, 50),
+        conn_a=_segments, conn_b=_segments, length=st.integers(1, 9),
+    )
+    def test_blocks_with_connectors(self, a, b, ra, rb, conn_a, conn_b, length):
+        self.check([(a, ra), (conn_a, 1), (b, rb), (conn_b, 1)], length)
 
 
 def fresh_canonical(spec, count):

@@ -20,6 +20,7 @@ from cmshift.asymptotics import (
 )
 from cmshift.exactval import Interval, LogLinear
 from cmshift.measures import (
+    InadmissibleWordError,
     canonical_cylinder_iter,
     canonical_cylinders,
     combo_of_cylinder,
@@ -648,27 +649,293 @@ class TestSingleOrbitApproximation:
                 (Fraction(1, 2), fixed_point_measure(spec, 1)),
             ]
         )
-        words = []
+        blocks = []
         marks = []
+        built = []
+        real_block_runs = suspension._block_runs
         real_block_word = suspension._block_word
 
-        def block_word(spec, cycles, reps, caps):
+        def block_runs(spec, cycles, reps, caps):
             marks.append(len(calls))
-            words.append(real_block_word(spec, cycles, reps, caps))
-            return words[-1]
+            blocks.append(real_block_runs(spec, cycles, reps, caps))
+            return blocks[-1]
+
+        def block_word(block):
+            marks.append(len(calls))
+            built.append(real_block_word(block))
+            return built[-1]
 
         # metric d reads the shift's canonical prefix; enumerate it first
         canonical_cylinders(spec, 18)
         calls.clear()
-        with mock.patch.object(suspension, "_block_word", block_word):
+        with mock.patch.object(suspension, "_block_runs", block_runs), \
+                mock.patch.object(suspension, "_block_word", block_word):
             res = approximate_by_single_orbit(target, log1p_roof(), Fraction(1, 10**5), spec)
         marks.append(len(calls))
         assert len(res.word) == 32_768
-        assert len(words) > 10
-        for word, before, after in zip(words, marks, marks[1:]):
+        assert len(blocks) > 10
+        assert built == [res.word]  # the word is built once, for the result
+        for block, before, after in zip(blocks, marks, marks[1:]):
+            word = real_block_word(block)
             distinct = len(set(zip(word, word[1:] + word[:1])))
             junctions = 2  # between the two blocks, and the wrap
             assert after - before <= distinct + junctions
+        # building the result checks the word once more, per transition
+        # and at the close-up
+        distinct = len(set(zip(res.word, res.word[1:])))
+        assert marks[-1] - marks[-2] <= distinct + 1
+
+    def test_small_eps_stops_at_the_block_word_cap(self, full):
+        cap = suspension.BLOCK_WORD_CAP
+        assert cap == 2**22
+        real_block_word = suspension._block_word
+
+        def guarded(block):
+            # never let a runaway doubling build its word in this process
+            if block.period > cap:
+                raise AssertionError(f"a block word of {block.period} symbols")
+            return real_block_word(block)
+
+        target = convex_combination(
+            [
+                (Fraction(1, 2), fixed_point_measure(full, 1)),
+                (Fraction(1, 2), fixed_point_measure(full, 2)),
+            ]
+        )
+        with mock.patch.object(suspension, "_block_word", guarded):
+            with pytest.raises(ApproximationError) as err:
+                approximate_by_single_orbit(
+                    target, log1p_roof(), Fraction(1, 10**300), full
+                )
+        assert str(cap) in str(err.value)
+        best = err.value.best
+        assert best.measure.period == len(best.word) == cap
+        assert best.metric_bracket[1] > Fraction(1, 10**300)
+
+    def test_cap_binds_before_the_first_doubling(self, full, monkeypatch):
+        monkeypatch.setattr(suspension, "BLOCK_WORD_CAP", 1)
+        target = convex_combination(
+            [
+                (Fraction(1, 2), fixed_point_measure(full, 1)),
+                (Fraction(1, 2), fixed_point_measure(full, 2)),
+            ]
+        )
+        with pytest.raises(ApproximationError, match="block-word cap of 1 ") as err:
+            approximate_by_single_orbit(target, log1p_roof(), Fraction(1, 10), full)
+        assert err.value.best is None
+
+    def test_cap_keeps_every_word_within_it(self, full, monkeypatch):
+        # a tolerance reached exactly at the cap still succeeds
+        target = convex_combination(
+            [
+                (Fraction(1, 2), fixed_point_measure(full, 1)),
+                (Fraction(1, 2), fixed_point_measure(full, 2)),
+            ]
+        )
+        eps = Fraction(1, 1000)
+        res = approximate_by_single_orbit(target, log1p_roof(), eps, full)
+        monkeypatch.setattr(suspension, "BLOCK_WORD_CAP", len(res.word))
+        assert approximate_by_single_orbit(target, log1p_roof(), eps, full) == res
+        monkeypatch.setattr(suspension, "BLOCK_WORD_CAP", len(res.word) - 1)
+        with pytest.raises(ApproximationError) as err:
+            approximate_by_single_orbit(target, log1p_roof(), eps, full)
+        assert len(err.value.best.word) == len(res.word) // 2
+
+
+def _oracle_block_word(spec, cycles, reps, caps):
+    """The former block-word builder: cycle blocks and connecting words,
+    concatenated cyclically into one materialised word."""
+    word = []
+
+    def _bridge(a, b):
+        if spec.is_allowed(a, b):
+            return
+        path = suspension.connect(
+            spec, a, b, caps.connect_max_len, caps.symbol_cap,
+            min_len=2 if a == b else 1,
+        )
+        if path is None or len(path) < 3:
+            raise ApproximationError(f"no connector from {a} to {b} under the caps")
+        word.extend(path[1:-1])
+
+    for cyc, r in zip(cycles, reps):
+        if word:
+            _bridge(word[-1], cyc[0])
+        word.extend(cyc * r)
+    _bridge(word[-1], word[0])
+    return tuple(word)
+
+
+def materialised_densusp_oracle(target, roof, eps, spec, caps=None, max_doublings=40):
+    """Oracle: the former densusp loop, which builds the block word, its
+    periodic measure and both certificates from scratch on every doubling."""
+    eps = Fraction(eps)
+    caps = caps or SearchCaps()
+    N = 1
+    while Fraction(1, 2**N) > eps / 2:
+        N += 1
+    cycles = [mu.orbit.cycle for _, mu in target.terms]
+    weights = [w for w, _ in target.terms]
+    target_integral = roof_integral(roof, target)
+    if len(cycles) == 1:
+        measure = suspension.PeriodicMeasure(target.terms[0][1].orbit)
+        lo, hi = metric_d(convex_combination([(1, measure)]), target, N, spec)
+        return suspension.ApproxResult(
+            measure=measure, repetitions=measure.period, metric_bracket=(lo, hi),
+            metric_depth=N, integral_gap=LogLinear.zero(), target_integral=target_integral,
+            word=measure.orbit.cycle,
+        )
+    R0 = 1
+    for w, cyc in zip(weights, cycles):
+        share = w / len(cyc)
+        R0 = R0 * share.denominator // math.gcd(R0, share.denominator)
+    best = None
+    R = R0
+    for _ in range(max_doublings):
+        reps = [int(w * R / len(cyc)) for w, cyc in zip(weights, cycles)]
+        word = _oracle_block_word(spec, cycles, reps, caps)
+        measure = measure_from_cycle(spec, word)
+        approx = convex_combination([(1, measure)])
+        lo, hi = metric_d(approx, target, N, spec)
+        gap = roof_integral(roof, approx) - target_integral
+        if gap.sign() < 0:
+            gap = -gap
+        result = suspension.ApproxResult(
+            measure=measure, repetitions=R, metric_bracket=(lo, hi), metric_depth=N,
+            integral_gap=gap, target_integral=target_integral, word=word,
+        )
+        if best is None or (hi, gap) < (best.metric_bracket[1], best.integral_gap):
+            best = result
+        if hi <= eps and gap <= LogLinear.from_rational(eps):
+            return result
+        R *= 2
+    raise ApproximationError(
+        f"tolerance {eps} not reached within {max_doublings} doublings "
+        f"(best metric upper bound {best.metric_bracket[1]})",
+        best=best,
+    )
+
+
+def _same_approx(a, b):
+    """Field by field, with the exact values compared in normal form."""
+    assert a.measure == b.measure
+    assert a.word == b.word
+    assert a.repetitions == b.repetitions
+    assert a.metric_bracket == b.metric_bracket
+    assert a.metric_depth == b.metric_depth
+    for x, y in ((a.integral_gap, b.integral_gap), (a.target_integral, b.target_integral)):
+        assert (x.rational, x.logs) == (y.rational, y.logs)
+    assert a.to_jsonable() == b.to_jsonable()
+
+
+def _run_both(target, roof, eps, spec, **kw):
+    outcomes = []
+    for fn in (approximate_by_single_orbit, materialised_densusp_oracle):
+        try:
+            outcomes.append(fn(target, roof, eps, spec, **kw))
+        except (ApproximationError, InadmissibleWordError) as exc:
+            outcomes.append(exc)
+    return outcomes
+
+
+class TestRunLengthDensusp:
+    """The run-length loop against the materialising oracle."""
+
+    def _check(self, target, roof, eps, spec, **kw):
+        new, old = _run_both(target, roof, eps, spec, **kw)
+        assert type(new) is type(old)
+        if isinstance(new, ApproximationError):
+            assert str(new) == str(old)
+            new, old = new.best, old.best
+        _same_approx(new, old)
+        return new
+
+    @pytest.mark.parametrize("eps", ["1e-3", "1e-5"])
+    def test_full_shift_fixed_points(self, full, eps):
+        target = convex_combination(
+            [(Fraction(1, 2), fixed_point_measure(full, 1)),
+             (Fraction(1, 2), fixed_point_measure(full, 5))]
+        )
+        self._check(target, log1p_roof(), Fraction(eps), full)
+
+    def test_star_shift_has_connectors(self, star):
+        target = convex_combination(
+            [(Fraction(1, 3), measure_from_cycle(star, (1, 2))),
+             (Fraction(2, 3), measure_from_cycle(star, (1, 3)))]
+        )
+        res = self._check(target, log1p_roof(), Fraction(1, 100), star)
+        assert is_admissible(star, res.word)
+
+    def test_star_shift_two_connectors(self, star):
+        # 2 -> 3 and 4 -> 5 are no edges of the star: each junction gets
+        # the connector (1,), a one-symbol run between two blocks
+        target = convex_combination(
+            [(Fraction(1, 4), measure_from_cycle(star, c))
+             for c in ((1, 2), (3, 1), (1, 4), (5, 1))]
+        )
+        runs = []
+        real = suspension._block_runs
+        with mock.patch.object(suspension, "_block_runs",
+                               lambda *a: runs.append(real(*a)) or runs[-1]):
+            self._check(target, log1p_roof(), Fraction(1, 1000), star)
+        assert [r for s, r in runs[0].runs if s == (1,)] == [1, 1]
+    def test_multi_symbol_cycles_and_depth_two_roof(self, full):
+        roof = parse_roof_text(
+            "depth 2\ntable 1 2 : 3/2\ntable 2 3 : log:5\ntail log1p\nc 1/2\nvar2 1\n"
+        )
+        target = convex_combination(
+            [(Fraction(1, 3), measure_from_cycle(full, (1, 2, 3))),
+             (Fraction(1, 6), measure_from_cycle(full, (2, 4))),
+             (Fraction(1, 2), fixed_point_measure(full, 3))]
+        )
+        self._check(target, roof, Fraction(1, 10**4), full)
+
+    def test_non_primitive_block_word(self, full):
+        # two copies of one orbit: the block word is a power of its root
+        target = convex_combination(
+            [(Fraction(1, 2), measure_from_cycle(full, (1, 2))),
+             (Fraction(1, 2), measure_from_cycle(full, (1, 2)))]
+        )
+        with pytest.warns(UserWarning, match="primitive root"):
+            res = self._check(target, log1p_roof(), Fraction(1, 100), full)
+        assert res.measure.period == 2 < len(res.word)
+
+    def test_single_component(self, full):
+        target = convex_combination([(1, measure_from_cycle(full, (1, 3)))])
+        self._check(target, log1p_roof(), Fraction(1, 1000), full)
+
+    @pytest.mark.parametrize("doublings", [1, 2, 3])
+    def test_exit_three_best(self, full, doublings):
+        target = convex_combination(
+            [(Fraction(1, 3), measure_from_cycle(full, (1, 2))),
+             (Fraction(2, 3), fixed_point_measure(full, 3))]
+        )
+        self._check(
+            target, log1p_roof(), Fraction(1, 10**9), full, max_doublings=doublings
+        )
+
+    def test_exit_three_best_with_connectors(self, star):
+        target = convex_combination(
+            [(Fraction(1, 2), measure_from_cycle(star, (1, 2))),
+             (Fraction(1, 2), measure_from_cycle(star, (3, 1)))]
+        )
+        self._check(target, log1p_roof(), Fraction(1, 10**9), star, max_doublings=3)
+
+    def test_inadmissible_connector_raises_the_built_words_error(self):
+        # a row hint that lists 2 -> 3, which the oracle forbids: the
+        # connector 1 -> 2 -> 3 passes the search but not the word check
+        forbidden = {(1, 3), (2, 3)}
+        spec = ShiftSpec(
+            "liar", lambda i, j: (i, j) not in forbidden,
+            successors_hint=lambda i: iter((2,)) if i == 1 else itertools.count(1),
+        )
+        target = convex_combination(
+            [(Fraction(1, 2), fixed_point_measure(spec, 1)),
+             (Fraction(1, 2), fixed_point_measure(spec, 3))]
+        )
+        new, old = _run_both(target, log1p_roof(), Fraction(1, 10), spec)
+        assert isinstance(new, InadmissibleWordError)
+        assert type(new) is type(old) and str(new) == str(old)
 
 
 class TestRoofParsing:
