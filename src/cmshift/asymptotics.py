@@ -10,6 +10,7 @@ per-cylinder oscillation over the trailing window is the evidence for
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
@@ -29,11 +30,10 @@ from .shifts import (
     SearchCaps,
     ShiftSpec,
     Word,
+    _loop_words,
     connect,
-    enumerate_loops,
     is_admissible,
     successor_iter,
-    successors,
 )
 
 __all__ = [
@@ -380,12 +380,10 @@ def _interior_word_search(
             ):
                 return word
 
+    if caps.symbol_cap < 1:
+        return None  # no symbol lies under the cap
     budget = caps.max_nodes
     failed: set[tuple[int, int]] = set()
-
-    def _exit_symbol(sym: int) -> int | None:
-        row, _ = successors(spec, sym, k)
-        return row[0] if row else None
 
     def _deep_iter(sym: int) -> Iterable[int]:
         return (x for x in successor_iter(spec, sym, caps.symbol_cap) if x > k)
@@ -396,7 +394,7 @@ def _interior_word_search(
                 continue
             # depth-first over the > k subgraph, path of length min_interior
             path = [s0]
-            iters = [iter(_deep_iter(s0))]
+            iters = [_deep_iter(s0)]
             while path:
                 if budget <= 0:
                     raise EscapeSearchError(
@@ -406,7 +404,7 @@ def _interior_word_search(
                     )
                 residual = min_interior - len(path)
                 if residual == 0:
-                    b = _exit_symbol(path[-1])
+                    b = next(successor_iter(spec, path[-1], k), None)
                     if b is not None:
                         return (a, *path, b)
                     failed.add((path[-1], 0))
@@ -419,7 +417,7 @@ def _interior_word_search(
                     if (nxt, residual - 1) in failed:
                         continue
                     path.append(nxt)
-                    iters.append(iter(_deep_iter(nxt)))
+                    iters.append(_deep_iter(nxt))
                     advanced = True
                     break
                 if not advanced:
@@ -486,31 +484,28 @@ def first_return_loops(
     spec: ShiftSpec, i: int, q: int, count: int, symbol_cap: int
 ) -> list[Word]:
     """First `count` cycles (i, r_1, ..., r_{q-1}) with no interior i,
-    ascending; these are the period-q first-return loops at i."""
+    ascending; these are the period-q first-return loops at i.
+
+    One lazy pass over at most 10*count + 1000 loop words at i, which
+    stops at the `count`-th first-return loop.
+    """
     if q < 1:
         raise ValueError("q must be >= 1")
+    if count < 1:
+        raise ValueError("count must be >= 1")
+    limit = 10 * count + 1000
+    words = _loop_words(spec, i, q, symbol_cap, lambda x: spec.is_allowed(x, i))
     loops: list[Word] = []
-    words, _ = enumerate_loops(spec, i, q, cap=max(count * 4, count + 16), symbol_cap=symbol_cap)
-    for w in words:
-        if all(s != i for s in w[1:]):
+    read = 0
+    for read, w in enumerate(itertools.islice(words, limit), 1):
+        if i not in w[1:]:
             loops.append(w)
-        if len(loops) == count:
-            return loops
-    # the padded enumeration cap may have been the limiting factor; retry
-    # once with an unpadded exhaustive sweep before giving up
-    loops = []
-    words, saturated = enumerate_loops(
-        spec, i, q, cap=10 * count + 1000, symbol_cap=symbol_cap
-    )
-    for w in words:
-        if all(s != i for s in w[1:]):
-            loops.append(w)
-        if len(loops) == count:
-            return loops
+            if len(loops) == count:
+                return loops
     raise NotEnoughLoopsError(
         f"only {len(loops)} first-return loops of period {q} at {i} exist "
         f"under symbol cap {symbol_cap}"
-        + ("" if not saturated else " (enumeration saturated)")
+        + ("" if read < limit else " (enumeration saturated)")
     )
 
 
@@ -578,7 +573,7 @@ def gurevich_entropy_estimate(
     if not wanted or wanted[0] < 1:
         raise ValueError("n values must be positive")
     top = wanted[-1]
-    truncated = False
+    tails: list[bool | None] = []  # one continuation per row read
     counts: dict[int, int] = {}
     vec: dict[int, int] = {a: 1}
     for step in range(1, top + 1):
@@ -592,12 +587,10 @@ def gurevich_entropy_estimate(
             break
         nxt: dict[int, int] = {}
         for s, c in vec.items():
-            row, trunc = successors(spec, s, symbol_cap)
-            if trunc:
-                truncated = True
-            for j in row:
+            for j in successor_iter(spec, s, symbol_cap, tails):
                 nxt[j] = nxt.get(j, 0) + c
         vec = nxt
+    truncated = any(t is not False for t in tails)
     rows = tuple(
         EntropyRow(
             n=n,

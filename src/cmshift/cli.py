@@ -157,8 +157,8 @@ def cmd_shift_info(args) -> int:
     spec = _load_shift(args)
     rows = {}
     for i in range(1, args.horizon + 1):
-        row, truncated = successors(spec, i, args.symbol_cap)
-        rows[str(i)] = {"row": row, "truncated": truncated}
+        row, more = successors(spec, i, args.symbol_cap)
+        rows[str(i)] = {"row": row, "truncated": more is not False}
     _write_report(
         args,
         "shift_info",

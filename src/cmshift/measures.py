@@ -24,7 +24,6 @@ from .shifts import (
     ShiftSpec,
     Word,
     is_admissible,
-    row_continues_beyond,
     successor_iter,
     successors,
 )
@@ -41,7 +40,6 @@ __all__ = [
     "UnrepresentedCylinderError",
     "TailInteractionError",
     "periodic_orbit",
-    "periodic_measure",
     "measure_from_cycle",
     "fixed_point_measure",
     "convex_combination",
@@ -51,7 +49,6 @@ __all__ = [
     "support_table",
     "invariance_check",
     "canonical_cylinders",
-    "canonical_cylinder",
     "metric_d",
     "indicator",
     "integrate_test_function",
@@ -140,10 +137,6 @@ class PeriodicMeasure:
     @property
     def period(self) -> int:
         return self.orbit.period
-
-
-def periodic_measure(orbit: PeriodicOrbit) -> PeriodicMeasure:
-    return PeriodicMeasure(orbit)
 
 
 def measure_from_cycle(spec: ShiftSpec, symbols: Iterable[int]) -> PeriodicMeasure:
@@ -564,12 +557,6 @@ def canonical_cylinders(spec: ShiftSpec, count: int) -> list[Word]:
     return words
 
 
-def canonical_cylinder(spec: ShiftSpec, index: int) -> Word:
-    if index < 1:
-        raise ValueError("canonical indices start at 1")
-    return canonical_cylinders(spec, index)[-1]
-
-
 def _cylinder_values(obj, words: list[Word]) -> Iterable[Fraction]:
     """Values of a measure or a cylinder table on `words`, in order.
 
@@ -819,15 +806,10 @@ def _branch_values(
     values: set[Fraction] = set()
     # escape branch: a continuation with symbol >= floor avoiding every
     # deeper atom
-    scan_cap = max(child_syms + [floor]) + 1
-    row, _ = successors(spec, prefix[-1], scan_cap)
-    escape = any(s >= floor and s not in relevant for s in row)
-    if not escape:
-        cont = row_continues_beyond(spec, prefix[-1], scan_cap)
-        if cont:
-            escape = True
-        elif cont is None:
-            certified_box[0] = False
+    row, more = successors(spec, prefix[-1], max(child_syms + [floor]) + 1)
+    escape = more or any(s >= floor and s not in relevant for s in row)
+    if not escape and more is None:
+        certified_box[0] = False
     if escape:
         values.add(here)
     for s in relevant:
@@ -856,8 +838,8 @@ def c0_conditions_check(
 
     sup_rows = []
     for n in range(1, horizon + 1):
-        row, truncated = successors(spec, n, max(n, spec.symbol_cap_default))
-        if not row and not truncated:
+        row, more = successors(spec, n, max(n, spec.symbol_cap_default))
+        if not row and more is False:
             sup_rows.append((n, Fraction(0)))  # [n] is empty
             continue
         base = f.tail_value if (f.tail_threshold is not None and n > f.tail_threshold) else Fraction(0)
@@ -879,13 +861,10 @@ def c0_conditions_check(
             (a, w) for a, w in f.atoms if len(w) > len(cyl) and w[: len(cyl)] == cyl
         ]
         for n in range(1, horizon + 1):
-            row, _ = successors(spec, cyl[-1], max(n, spec.symbol_cap_default))
-            populated = any(s >= n for s in row)
-            if not populated:
-                cont = row_continues_beyond(spec, cyl[-1], max(n, spec.symbol_cap_default))
-                populated = bool(cont)
-                if cont is None:
-                    certified_box[0] = False
+            row, more = successors(spec, cyl[-1], max(n, spec.symbol_cap_default))
+            populated = more or any(s >= n for s in row)
+            if not populated and more is None:
+                certified_box[0] = False
             if not populated:
                 rows.append((n, Fraction(0)))  # C(>= n) is empty
                 continue

@@ -3,8 +3,11 @@
 A shift is a 0/1 transition rule over the positive-integer alphabet.
 Rows may be infinite, so every search in this module carries explicit
 caps (symbol bound, length bound, node budget) and reports truncation
-rather than assuming it away.  Words are plain tuples of positive
-integers; a cylinder is identified with its defining word.
+rather than assuming it away.  Every row is read through one lazy
+kernel, `successor_iter`, which also says whether the row goes on past
+its cap, and every loop search is one depth-first search over it.
+Words are plain tuples of positive integers; a cylinder is identified
+with its defining word.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ __all__ = [
     "SearchCaps",
     "ProbeResult",
     "is_admissible",
+    "successor_iter",
     "successors",
     "connect",
     "enumerate_loops",
@@ -47,7 +51,8 @@ class ShiftSpec:
     `allowed` must be a pure predicate.  `successors_hint`, when present,
     enumerates the row of a symbol in strictly increasing order; finite
     hints certify that the row ends, which is what lets searches report
-    exact (rather than truncated) answers.  `interior_path_hint` is an
+    exact (rather than truncated) answers.  Only `successor_iter` reads
+    the hint, and it checks the order.  `interior_path_hint` is an
     optional structural shortcut used by escape constructions; anything
     it returns is re-verified against `allowed` before use.
     """
@@ -92,54 +97,46 @@ def is_admissible(spec: ShiftSpec, symbols: Iterable[int]) -> bool:
     return all(spec.is_allowed(a, b) for a, b in dict.fromkeys(zip(word, word[1:])))
 
 
-def successors(spec: ShiftSpec, i: int, cap: int) -> tuple[list[int], bool]:
-    """Row of symbol `i` up to `cap`, ascending, plus a truncation flag.
+def successor_iter(
+    spec: ShiftSpec, i: int, cap: int, tail: list[bool | None] | None = None
+) -> Iterator[int]:
+    """Lazily yield the row of `i` up to `cap`, ascending.
 
-    The flag is True when the row may continue past `cap`.  With a hint
-    the flag is exact; without one it stays True unless the alphabet
-    itself is known to end at or below `cap`.
+    This is the one reader of `successors_hint`, and it raises
+    ValueError when a hint is not strictly increasing or `cap` < 1.  A
+    consumer that reads the row to its end and passes a `tail` list gets
+    the row's continuation appended to it: True or False when certain
+    that the row goes on past `cap`, None when the oracle cannot tell
+    (no hint, and the alphabet is not known to end at or below `cap`).
+    A consumer that stops early gets no answer.
     """
     if cap < 1:
         raise ValueError("cap must be >= 1")
-    if spec.successors_hint is not None:
-        row: list[int] = []
-        prev = 0
-        for j in spec.successors_hint(i):
+    hint = spec.successors_hint
+    if hint is None:
+        for j in range(1, cap + 1):
+            if spec.is_allowed(i, j):
+                yield j
+        more = None if spec.alphabet_size is None or spec.alphabet_size > cap else False
+    else:
+        prev, more = 0, False
+        for j in hint(i):
             if j <= prev:
                 raise ValueError(f"successors_hint for {i} is not strictly increasing")
+            if j > cap:
+                more = True
+                break
             prev = j
-            if j > cap:
-                return row, True
-            row.append(j)
-        return row, False
-    row = [j for j in range(1, cap + 1) if spec.is_allowed(i, j)]
-    truncated = spec.alphabet_size is None or spec.alphabet_size > cap
-    return row, truncated
-
-
-def successor_iter(spec: ShiftSpec, i: int, cap: int) -> Iterator[int]:
-    """Lazily yield the row of `i` up to `cap`, ascending."""
-    if spec.successors_hint is not None:
-        for j in spec.successors_hint(i):
-            if j > cap:
-                return
             yield j
-        return
-    for j in range(1, cap + 1):
-        if spec.is_allowed(i, j):
-            yield j
+    if tail is not None:
+        tail.append(more)
 
 
-def row_continues_beyond(spec: ShiftSpec, i: int, cap: int) -> bool | None:
-    """True/False when certain, None when the oracle cannot tell."""
-    if spec.successors_hint is not None:
-        for j in spec.successors_hint(i):
-            if j > cap:
-                return True
-        return False
-    if spec.alphabet_size is not None and spec.alphabet_size <= cap:
-        return False
-    return None
+def successors(spec: ShiftSpec, i: int, cap: int) -> tuple[list[int], bool | None]:
+    """Eager view of `successor_iter`: the row of `i` up to `cap` and
+    its continuation past `cap` (True, False, or None for unknown)."""
+    tail: list[bool | None] = []
+    return list(successor_iter(spec, i, cap, tail)), tail[0]
 
 
 def connect(
@@ -153,7 +150,9 @@ def connect(
     """Shortest admissible word from `a` to `b` within the caps.
 
     Breadth-first over symbols <= symbol_cap; among shortest words the
-    lexicographically least is returned.  Absence is a value: the caps
+    lexicographically least is returned.  Rows are read lazily and the
+    search returns at the first `b`, so a huge `symbol_cap` costs
+    nothing when `b` comes early in a row.  Absence is a value: the caps
     may simply be too small, and transitivity is never assumed.
     """
     if max_len < 1 or min_len > max_len:
@@ -170,9 +169,7 @@ def connect(
         next_frontier: deque[int] = deque()
         while frontier:
             idx = frontier.popleft()
-            sym = parents[idx][0]
-            row, _ = successors(spec, sym, symbol_cap)
-            for j in row:
+            for j in successor_iter(spec, parents[idx][0], symbol_cap):
                 if j == b:
                     path = [b]
                     cur = idx
@@ -189,41 +186,53 @@ def connect(
     return None
 
 
+def _loop_words(
+    spec: ShiftSpec,
+    a: int,
+    n: int,
+    symbol_cap: int,
+    last: Callable[[int], bool],
+    tail: list[bool | None] | None = None,
+) -> Iterator[Word]:
+    """Admissible words (a, x2, ..., xn) with last(xn), lexicographically.
+
+    One depth-first search serves every loop count: rows are read
+    lazily up to `symbol_cap`, so a consumer that stops after k words
+    reads no row further than those words need.  Each row read to its
+    end appends its continuation to `tail` (see `successor_iter`).
+    """
+    if n == 1:
+        if last(a):
+            yield (a,)
+        return
+    prefix = [a]
+    rows = [successor_iter(spec, a, symbol_cap, tail)]  # rows[k] proposes x_{k+2}
+    while rows:
+        for j in rows[-1]:
+            if len(rows) + 1 == n:
+                if last(j):
+                    yield (*prefix, j)
+            else:
+                prefix.append(j)
+                rows.append(successor_iter(spec, j, symbol_cap, tail))
+                break
+        else:
+            rows.pop()
+            prefix.pop()
+
+
 def enumerate_loops(
     spec: ShiftSpec, a: int, n: int, cap: int, symbol_cap: int
 ) -> tuple[list[Word], bool]:
-    """Admissible words (a, x2, ..., xn) with allowed(xn, a), up to `cap` items."""
+    """Admissible words (a, x2, ..., xn) with allowed(xn, a), up to `cap`
+    items, and whether `cap` was reached."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    found: list[Word] = []
-    stack: list[tuple[Word, Iterator[int]]] = []
-
-    def _extensions(sym: int) -> Iterator[int]:
-        row, _ = successors(spec, sym, symbol_cap)
-        return iter(row)
-
-    word: Word = (a,)
-    if n == 1:
-        if spec.is_allowed(a, a):
-            found.append(word)
-        return found, len(found) >= cap
-    stack.append((word, _extensions(a)))
-    while stack:
-        prefix, it = stack[-1]
-        advanced = False
-        for j in it:
-            if len(prefix) + 1 == n:
-                if spec.is_allowed(j, a):
-                    found.append(prefix + (j,))
-                    if len(found) >= cap:
-                        return found, True
-            else:
-                stack.append((prefix + (j,), _extensions(j)))
-                advanced = True
-                break
-        if not advanced:
-            stack.pop()
-    return found, len(found) >= cap
+    if cap < 1:
+        raise ValueError("cap must be >= 1")
+    words = _loop_words(spec, a, n, symbol_cap, lambda x: spec.is_allowed(x, a))
+    found = list(itertools.islice(words, cap))
+    return found, len(found) == cap
 
 
 @dataclass(frozen=True)
@@ -258,37 +267,19 @@ def f_property_probe(
     A finite answer is claimed only when the enumeration exhausted with
     every visited row certified finite below symbol_cap; otherwise the
     count is a lower bound (evidence against finiteness once it reaches
-    `cap`).
+    `cap`).  A probe that stops at `cap` leaves the rows it read only in
+    part unreported, so `certified` then speaks for the rows read to
+    their end; `count`, `exhausted` and `is_finite` do not depend on it.
     """
     if n < 2:
         raise ValueError("n must be >= 2")
-    count = 0
-    certified = True
-
-    def _row(sym: int) -> list[int]:
-        nonlocal certified
-        row, truncated = successors(spec, sym, symbol_cap)
-        if truncated:
-            certified = False
-        return row
-
-    stack: list[tuple[Word, Iterator[int]]] = [((i,), iter(_row(i)))]
-    while stack:
-        prefix, it = stack[-1]
-        advanced = False
-        for j in it:
-            if len(prefix) + 1 == n:
-                if j == i:
-                    count += 1
-                    if count >= cap:
-                        return ProbeResult(count, False, certified, cap, symbol_cap)
-            else:
-                stack.append((prefix + (j,), iter(_row(j))))
-                advanced = True
-                break
-        if not advanced:
-            stack.pop()
-    return ProbeResult(count, True, certified, cap, symbol_cap)
+    if cap < 1:
+        raise ValueError("cap must be >= 1")
+    tail: list[bool | None] = []
+    words = _loop_words(spec, i, n, symbol_cap, lambda x: x == i, tail)
+    count = sum(1 for _ in itertools.islice(words, cap))
+    certified = all(t is False for t in tail)
+    return ProbeResult(count, count < cap, certified, cap, symbol_cap)
 
 
 # ---------------------------------------------------------------------------
@@ -604,8 +595,8 @@ def check_shift(spec: ShiftSpec, horizon: int, symbol_cap: int) -> ShiftCheckRep
     empty_rows = []
     empty_cols = []
     for i in range(1, top + 1):
-        row, truncated = successors(spec, i, symbol_cap)
-        if not row and not truncated:
+        row, more = successors(spec, i, symbol_cap)
+        if not row and more is False:
             empty_rows.append(i)
     for j in range(1, top + 1):
         if not any(spec.is_allowed(i, j) for i in range(1, symbol_cap + 1)):
@@ -616,8 +607,7 @@ def check_shift(spec: ShiftSpec, horizon: int, symbol_cap: int) -> ShiftCheckRep
     while frontier and budget > 0:
         nxt = []
         for i in frontier:
-            row, _ = successors(spec, i, symbol_cap)
-            for j in row:
+            for j in successor_iter(spec, i, symbol_cap):
                 budget -= 1
                 if j <= top and j not in seen:
                     seen.add(j)

@@ -69,7 +69,6 @@ __all__ = [
     "birkhoff_sum",
     "roof_integral",
     "kac_lift",
-    "kac_project",
     "flow_cylinder_mass",
     "flow_metric_rho",
     "flow_limit_analyze",
@@ -457,10 +456,6 @@ def kac_lift(mu: ConvexCombination, roof: RoofFunction) -> FlowMeasure:
     return FlowMeasure(roof, mu, roof_integral(roof, mu), Fraction(1))
 
 
-def kac_project(nu: FlowMeasure) -> tuple[ConvexCombination | None, Fraction]:
-    return nu.base, nu.lam
-
-
 def _kac_brackets(
     nu: FlowMeasure, base_masses: Iterable[Fraction], prec: int
 ) -> list[Interval]:
@@ -711,7 +706,8 @@ def flow_escape_sequence(
     # evidence of unboundedly many fixed-length loops somewhere low: the
     # family must overshoot the request (it keeps going) and the sampled
     # integrals must strictly increase, else this branch proves nothing.
-    # Loop probes scan rows eagerly, so they get their own modest cap.
+    # A loop probe reads every row it finishes up to the symbol cap, so
+    # it gets its own modest cap.
     loop_cap = min(probe_symbol_cap, caps.symbol_cap)
     for i in range(1, probe_symbols + 1):
         for q in range(1, probe_len + 1):

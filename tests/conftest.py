@@ -3,8 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from cmshift.measures import convex_combination, measure_from_cycle
+from cmshift.asymptotics import NotEnoughLoopsError
+from cmshift.measures import C0Report, convex_combination, measure_from_cycle
 from cmshift.shifts import (
+    ProbeResult,
     ShiftSpec,
     finite_full_shift,
     full_shift,
@@ -100,3 +102,252 @@ DIFFERENTIAL_SHIFTS = {
     for name, cap in (("full", 6), ("star", 7), ("renewal", 6), ("finite_full:2", 2))
 }
 DIFFERENTIAL_SHIFTS["rows"] = (load_shift_text("1: 1 2\n2: 3\n3: 1 3 4\n4: 2\n"), 4)
+
+
+# shifts without a successors hint: every row is read through `allowed`,
+# and its continuation is known only when the alphabet ends
+HINTLESS_SHIFTS = {
+    "hintless-finite": ShiftSpec(
+        "hintless-finite", lambda i, j: (i + 2 * j) % 3 != 0 or i == j, alphabet_size=4
+    ),
+    "hintless-open": ShiftSpec("hintless-open", lambda i, j: j <= i + 1 and (i + j) % 4 != 1),
+}
+
+# the row kernel's readers are compared with the former readers on these:
+# hinted shifts with finite and infinite rows and alphabets, a row list
+# with a full default, a loop family, and shifts without a hint
+KERNEL_SHIFTS = {
+    **{name: spec for name, (spec, _) in DIFFERENTIAL_SHIFTS.items()},
+    "rows-default-full": load_shift_text("1: 2 3\n2: 1\n4: 1 4\ndefault full\n"),
+    "loop_family:linear": parse_shift_arg("loop_family:linear"),
+    **HINTLESS_SHIFTS,
+}
+
+
+# ---------------------------------------------------------------------------
+# the former row readers, loop searches and C0 check, kept as oracles for
+# the lazy row kernel `successor_iter` and the one loop-word DFS
+
+
+def oracle_successors(spec: ShiftSpec, i: int, cap: int) -> tuple[list[int], bool]:
+    if cap < 1:
+        raise ValueError("cap must be >= 1")
+    if spec.successors_hint is not None:
+        row: list[int] = []
+        prev = 0
+        for j in spec.successors_hint(i):
+            if j <= prev:
+                raise ValueError(f"successors_hint for {i} is not strictly increasing")
+            prev = j
+            if j > cap:
+                return row, True
+            row.append(j)
+        return row, False
+    row = [j for j in range(1, cap + 1) if spec.is_allowed(i, j)]
+    truncated = spec.alphabet_size is None or spec.alphabet_size > cap
+    return row, truncated
+
+
+def oracle_successor_iter(spec: ShiftSpec, i: int, cap: int):
+    if spec.successors_hint is not None:
+        for j in spec.successors_hint(i):
+            if j > cap:
+                return
+            yield j
+        return
+    for j in range(1, cap + 1):
+        if spec.is_allowed(i, j):
+            yield j
+
+
+def oracle_row_continues_beyond(spec: ShiftSpec, i: int, cap: int):
+    if spec.successors_hint is not None:
+        for j in spec.successors_hint(i):
+            if j > cap:
+                return True
+        return False
+    if spec.alphabet_size is not None and spec.alphabet_size <= cap:
+        return False
+    return None
+
+
+def oracle_enumerate_loops(spec, a, n, cap, symbol_cap):
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    found = []
+    stack = []
+
+    def _extensions(sym):
+        row, _ = oracle_successors(spec, sym, symbol_cap)
+        return iter(row)
+
+    word = (a,)
+    if n == 1:
+        if spec.is_allowed(a, a):
+            found.append(word)
+        return found, len(found) >= cap
+    stack.append((word, _extensions(a)))
+    while stack:
+        prefix, it = stack[-1]
+        advanced = False
+        for j in it:
+            if len(prefix) + 1 == n:
+                if spec.is_allowed(j, a):
+                    found.append(prefix + (j,))
+                    if len(found) >= cap:
+                        return found, True
+            else:
+                stack.append((prefix + (j,), _extensions(j)))
+                advanced = True
+                break
+        if not advanced:
+            stack.pop()
+    return found, len(found) >= cap
+
+
+def oracle_f_property_probe(spec, i, n, cap, symbol_cap):
+    if n < 2:
+        raise ValueError("n must be >= 2")
+    count = 0
+    certified = True
+
+    def _row(sym):
+        nonlocal certified
+        row, truncated = oracle_successors(spec, sym, symbol_cap)
+        if truncated:
+            certified = False
+        return row
+
+    stack = [((i,), iter(_row(i)))]
+    while stack:
+        prefix, it = stack[-1]
+        advanced = False
+        for j in it:
+            if len(prefix) + 1 == n:
+                if j == i:
+                    count += 1
+                    if count >= cap:
+                        return ProbeResult(count, False, certified, cap, symbol_cap)
+            else:
+                stack.append((prefix + (j,), iter(_row(j))))
+                advanced = True
+                break
+        if not advanced:
+            stack.pop()
+    return ProbeResult(count, True, certified, cap, symbol_cap)
+
+
+def oracle_first_return_loops(spec, i, q, count, symbol_cap):
+    """The former two passes: a padded enumeration, then a larger one."""
+    if q < 1:
+        raise ValueError("q must be >= 1")
+    loops = []
+    words, _ = oracle_enumerate_loops(
+        spec, i, q, cap=max(count * 4, count + 16), symbol_cap=symbol_cap
+    )
+    for w in words:
+        if all(s != i for s in w[1:]):
+            loops.append(w)
+        if len(loops) == count:
+            return loops
+    loops = []
+    words, saturated = oracle_enumerate_loops(
+        spec, i, q, cap=10 * count + 1000, symbol_cap=symbol_cap
+    )
+    for w in words:
+        if all(s != i for s in w[1:]):
+            loops.append(w)
+        if len(loops) == count:
+            return loops
+    raise NotEnoughLoopsError(
+        f"only {len(loops)} first-return loops of period {q} at {i} exist "
+        f"under symbol cap {symbol_cap}"
+        + ("" if not saturated else " (enumeration saturated)")
+    )
+
+
+def _oracle_branch_values(spec, prefix, base, atoms_below, min_next, certified_box):
+    depth = len(prefix)
+    here = base + sum((a for a, w in atoms_below if w == prefix), Fraction(0))
+    deeper = [(a, w) for a, w in atoms_below if len(w) > depth]
+    if not deeper and min_next is None:
+        return {here}
+    child_syms = sorted({w[depth] for _, w in deeper})
+    floor = min_next if min_next is not None else 1
+    relevant = [s for s in child_syms if s >= floor]
+    values = set()
+    scan_cap = max(child_syms + [floor]) + 1
+    row, _ = oracle_successors(spec, prefix[-1], scan_cap)
+    escape = any(s >= floor and s not in relevant for s in row)
+    if not escape:
+        cont = oracle_row_continues_beyond(spec, prefix[-1], scan_cap)
+        if cont:
+            escape = True
+        elif cont is None:
+            certified_box[0] = False
+    if escape:
+        values.add(here)
+    for s in relevant:
+        if not spec.is_allowed(prefix[-1], s):
+            continue
+        sub = [(a, w) for a, w in deeper if w[depth] == s]
+        values |= _oracle_branch_values(spec, prefix + (s,), here, sub, None, certified_box)
+    return values
+
+
+def oracle_c0_conditions_check(f, spec, horizon):
+    certified_box = [True]
+    sup_rows = []
+    for n in range(1, horizon + 1):
+        row, truncated = oracle_successors(spec, n, max(n, spec.symbol_cap_default))
+        if not row and not truncated:
+            sup_rows.append((n, Fraction(0)))
+            continue
+        base = (
+            f.tail_value
+            if (f.tail_threshold is not None and n > f.tail_threshold)
+            else Fraction(0)
+        )
+        atoms_n = [(a, w) for a, w in f.atoms if w[0] == n]
+        vals = _oracle_branch_values(spec, (n,), base, atoms_n, None, certified_box)
+        sup_rows.append((n, max((abs(v) for v in vals), default=Fraction(0))))
+    sup_eventual = abs(f.tail_value) if f.tail_threshold is not None else Fraction(0)
+    var_rows = []
+    var_eventual = []
+    for _, cyl in f.atoms:
+        rows = []
+        fixed = sum((a for a, w in f.atoms if w == cyl[: len(w)]), Fraction(0))
+        if f.tail_threshold is not None and cyl[0] > f.tail_threshold:
+            fixed += f.tail_value
+        extensions = [
+            (a, w) for a, w in f.atoms if len(w) > len(cyl) and w[: len(cyl)] == cyl
+        ]
+        for n in range(1, horizon + 1):
+            row, _ = oracle_successors(spec, cyl[-1], max(n, spec.symbol_cap_default))
+            populated = any(s >= n for s in row)
+            if not populated:
+                cont = oracle_row_continues_beyond(
+                    spec, cyl[-1], max(n, spec.symbol_cap_default)
+                )
+                populated = bool(cont)
+                if cont is None:
+                    certified_box[0] = False
+            if not populated:
+                rows.append((n, Fraction(0)))
+                continue
+            vals = _oracle_branch_values(spec, cyl, fixed, extensions, n, certified_box)
+            rows.append((n, max(vals) - min(vals) if vals else Fraction(0)))
+        var_rows.append((cyl, tuple(rows)))
+        var_eventual.append((cyl, Fraction(0)))
+    return C0Report(
+        modulus_depth=f.max_depth,
+        uniformly_continuous=True,
+        sup_rows=tuple(sup_rows),
+        sup_eventual=sup_eventual,
+        vanishes_at_infinity=sup_eventual == 0,
+        var_rows=tuple(var_rows),
+        var_eventual=tuple(var_eventual),
+        refines_to_zero=True,
+        certified=certified_box[0],
+        horizon=horizon,
+    )

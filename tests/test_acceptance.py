@@ -52,7 +52,6 @@ from cmshift.suspension import (
     flow_limit_analyze,
     flow_metric_rho,
     kac_lift,
-    kac_project,
     log1p_roof,
     roof_integral,
 )
@@ -161,7 +160,8 @@ def test_acceptance_06_kac_round_trip_and_flow_mass():
         nu = convex_combination(
             [(1, measure_from_cycle(full, random_cycle(full, rng, 10, 30)))]
         )
-        base, lam = kac_project(kac_lift(nu, roof))
+        lifted = kac_lift(nu, roof)
+        base, lam = lifted.base, lifted.lam
         assert base is nu and lam == Fraction(1)
     lifted = kac_lift(convex_combination([(1, fixed_point_measure(full, 1))]), roof)
     iv = flow_cylinder_mass(lifted, (1,), prec=50)

@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cmshift.asymptotics import (
     EscapeSearchError,
@@ -32,6 +34,14 @@ from cmshift.measures import (
     support_table,
 )
 from cmshift.shifts import SearchCaps, enumerate_loops, finite_full_shift, is_admissible
+from conftest import KERNEL_SHIFTS, oracle_first_return_loops, oracle_successors
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except NotEnoughLoopsError as exc:
+        return ("NotEnoughLoopsError", str(exc))
 
 
 def matrix_loop_counts(m, n_top):
@@ -233,6 +243,32 @@ class TestNonFWitnesses:
         loops = first_return_loops(full, 2, 3, 20, 50)
         assert all(s != 2 for w in loops for s in w[1:])
 
+    @given(
+        name=st.sampled_from(sorted(KERNEL_SHIFTS)),
+        i=st.integers(min_value=1, max_value=4),
+        q=st.integers(min_value=1, max_value=6),
+        count=st.integers(min_value=1, max_value=30),
+        symbol_cap=st.integers(min_value=1, max_value=8),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_first_return_loops_match_the_former_two_passes(self, name, i, q, count, symbol_cap):
+        spec = KERNEL_SHIFTS[name]
+        assert _outcome(first_return_loops, spec, i, q, count, symbol_cap) == _outcome(
+            oracle_first_return_loops, spec, i, q, count, symbol_cap
+        )
+
+    def test_saturated_sweep_message(self, full):
+        # 8^4 words (1, 1, ...) come first, more than the sweep reads
+        args = (full, 1, 6, 5, 8)
+        with pytest.raises(NotEnoughLoopsError, match=r"only 0 .* \(enumeration saturated\)$"):
+            first_return_loops(*args)
+        assert _outcome(first_return_loops, *args) == _outcome(oracle_first_return_loops, *args)
+
+    @pytest.mark.parametrize("count", [0, -1])
+    def test_count_below_one_is_rejected(self, full, count):
+        with pytest.raises(ValueError, match="count must be >= 1"):
+            first_return_loops(full, 1, 2, count, 200)
+
     def test_finite_alphabet_runs_out(self, ff3):
         with pytest.raises(NotEnoughLoopsError):
             non_f_witness_sequence(ff3, i=1, q=2, count=10, symbol_cap=100)
@@ -245,7 +281,40 @@ class TestNonFWitnesses:
         assert dict(cls.defect_sites)[(1,)] == Fraction(1, 2)
 
 
+def oracle_entropy_dp(spec, a, top, symbol_cap):
+    """Oracle: the former DP over eager rows, counts and truncation."""
+    truncated = False
+    counts = []
+    vec = {a: 1}
+    for step in range(1, top + 1):
+        counts.append(sum(c for s, c in vec.items() if spec.is_allowed(s, a)))
+        if step == top:
+            break
+        nxt = {}
+        for s, c in vec.items():
+            row, trunc = oracle_successors(spec, s, symbol_cap)
+            truncated = truncated or trunc
+            for j in row:
+                nxt[j] = nxt.get(j, 0) + c
+        vec = nxt
+    return counts, truncated
+
+
 class TestGurevichEntropy:
+    @given(
+        name=st.sampled_from(sorted(KERNEL_SHIFTS)),
+        a=st.integers(min_value=1, max_value=4),
+        top=st.integers(min_value=2, max_value=6),
+        symbol_cap=st.integers(min_value=1, max_value=8),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_former_dp(self, name, a, top, symbol_cap):
+        spec = KERNEL_SHIFTS[name]
+        report = gurevich_entropy_estimate(spec, a, range(1, top + 1), symbol_cap)
+        counts, truncated = oracle_entropy_dp(spec, a, top, symbol_cap)
+        assert [r.loop_count for r in report.rows] == counts
+        assert report.truncated == truncated
+
     @pytest.mark.parametrize("m", [2, 3, 5])
     def test_counts_match_matrix_power_oracle(self, m):
         spec = finite_full_shift(m)

@@ -100,6 +100,19 @@ class TestVerbs:
             {"word": [1], "defect": "1/2"}
         ]
 
+    def test_orbit_connect_at_a_huge_symbol_cap(self, tmp_path):
+        # rows are read only up to the target, so the cap costs nothing
+        base = ["orbit", "connect", "--shift", "star", "--a", "4", "--b", "9"]
+        reports = []
+        for name, extra in (("default", []), ("huge", ["--symbol-cap", "100000000"])):
+            code, out = run_cli(tmp_path / name, *base, *extra)
+            assert code == EXIT_OK
+            payload = read_json(out, "orbit_connect")
+            reports.append((payload.pop("config"), payload))
+        (default_config, default), (huge_config, huge) = reports
+        assert huge == default and default["word"] == [4, 1, 9]
+        assert huge_config == {**default_config, "symbol_cap": 100_000_000}
+
     def test_entropy_approaches_log_m(self, tmp_path):
         code, out = run_cli(
             tmp_path, "entropy", "--shift", "finite_full:3", "--a", "1", "--n", "1..12",
@@ -422,6 +435,19 @@ class TestExitCodeContract:
         argv = [*path, *CONTRACT_BASE[path], option, value]
         code, _ = run_cli(tmp_path, *argv)
         assert code in (EXIT_OK, EXIT_CONFIG, EXIT_EXHAUSTED), argv
+
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    @pytest.mark.parametrize("path, option, message", [
+        (("orbit", "enum"), "--cap", "cap must be >= 1"),
+        (("nonf-demo",), "--count", "count must be >= 1"),
+    ], ids=["orbit-enum--cap", "nonf-demo--count"])
+    def test_loop_caps_below_one_are_config_errors(
+        self, tmp_path, capsys, path, option, message, value
+    ):
+        code, out = run_cli(tmp_path, *path, *CONTRACT_BASE[path], option, value)
+        assert code == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("path", [
         path for path, parser in _leaf_parsers(cli.build_parser())

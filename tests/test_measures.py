@@ -41,9 +41,11 @@ from cmshift.measures import (
 from cmshift.shifts import ShiftSpec, is_admissible, load_shift_text, parse_shift_arg
 from conftest import (
     DIFFERENTIAL_SHIFTS,
+    HINTLESS_SHIFTS,
     naive_combo_mass,
     naive_cyclic_mass,
     random_combo,
+    oracle_c0_conditions_check,
     random_cycle,
 )
 
@@ -399,6 +401,18 @@ class TestTestFunctions:
         assert integrate_test_function(f, low) == 0
 
 
+# shifts for the C0 differential: without a hint, with finite rows, and
+# with infinite rows that skip symbols, so that a row read up to a small
+# cap can look empty above a floor and yet go on
+C0_SHIFTS = {
+    **HINTLESS_SHIFTS,
+    **{name: DIFFERENTIAL_SHIFTS[name][0] for name in ("star", "rows", "finite_full:2")},
+    "every-third": ShiftSpec(
+        "every-third", lambda i, j: j % 3 == 1, successors_hint=lambda i: itertools.count(1, 3)
+    ),
+}
+
+
 class TestC0Conditions:
     def test_plain_combination_vanishes(self, full):
         f = TestFunction.from_atoms([(1, (1,)), (Fraction(-1, 2), (2, 5))])
@@ -426,6 +440,41 @@ class TestC0Conditions:
         rows = dict(report.var_rows)[(1,)]
         assert dict(rows)[1] == 1  # x in [1] may or may not enter [1,3]
         assert dict(rows)[4] == 0  # beyond the extension symbol, constant
+
+    @pytest.mark.parametrize("atoms", [
+        [(1, (1,)), (1, (1, 4))],  # var row at 2: the row goes on past 4
+        [(3, (2,)), (-3, (2, 1))],  # sup row at 2: [2] is not only [2, 1]
+    ])
+    def test_rows_that_skip_symbols_still_escape(self, atoms):
+        spec = C0_SHIFTS["every-third"]
+        f = TestFunction.from_atoms(atoms)
+        report = c0_conditions_check(f, spec, 4)
+        assert report == oracle_c0_conditions_check(f, spec, 4)
+        assert report.certified
+
+    @given(
+        name=st.sampled_from(sorted(C0_SHIFTS)),
+        atoms=st.lists(
+            st.tuples(
+                st.integers(min_value=-3, max_value=3),
+                st.lists(st.integers(min_value=1, max_value=5), min_size=1, max_size=3),
+            ),
+            max_size=4,
+        ),
+        tail=st.one_of(st.none(), st.integers(min_value=0, max_value=5)),
+        horizon=st.integers(min_value=1, max_value=6),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_former_check(self, name, atoms, tail, horizon):
+        spec = C0_SHIFTS[name]
+        f = TestFunction.from_atoms(
+            [(Fraction(a, 2), w) for a, w in atoms],
+            tail_threshold=tail,
+            tail_value=Fraction(1, 3) if tail is not None else 0,
+        )
+        assert c0_conditions_check(f, spec, horizon) == oracle_c0_conditions_check(
+            f, spec, horizon
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,16 @@ from cmshift.shifts import (
     loop_family_shift,
     make_builtin,
     parse_shift_arg,
+    successor_iter,
     successors,
+)
+from conftest import (
+    KERNEL_SHIFTS,
+    oracle_enumerate_loops,
+    oracle_f_property_probe,
+    oracle_row_continues_beyond,
+    oracle_successor_iter,
+    oracle_successors,
 )
 
 
@@ -107,6 +116,25 @@ class TestConnect:
         star = parse_shift_arg("star")
         assert connect(star, 2, 2, 4, 10, min_len=2) == (2, 1, 2)
 
+    def test_reads_rows_only_up_to_the_target(self):
+        # the star's root row, counted: reading it up to the symbol cap
+        # would pass 10^4 symbols long before 10^8
+        read = [0]
+
+        def hint(i):
+            if i != 1:
+                yield 1
+                return
+            for j in itertools.count(1):
+                read[0] += 1
+                if read[0] > 10_000:
+                    raise AssertionError("root row read past 10^4 symbols")
+                yield j
+
+        spec = ShiftSpec("counted-star", lambda i, j: i == 1 or j == 1, successors_hint=hint)
+        assert connect(spec, 4, 9, 8, 10**8) == (4, 1, 9)
+        assert read[0] == 9
+
     @given(
         a=st.integers(min_value=1, max_value=12),
         b=st.integers(min_value=1, max_value=12),
@@ -144,6 +172,24 @@ class TestEnumerateLoops:
             assert w[0] == 1
             assert is_admissible(ff3, w)
             assert ff3.is_allowed(w[-1], 1)
+
+
+class TestLoopCapsBelowOne:
+    @pytest.mark.parametrize("n", [1, 3])
+    @pytest.mark.parametrize("cap", [0, -1])
+    def test_enumerate_loops_rejects(self, ff3, n, cap):
+        with pytest.raises(ValueError, match="cap must be >= 1"):
+            enumerate_loops(ff3, 1, n, cap, 10)
+
+    @pytest.mark.parametrize("cap", [0, -1])
+    def test_probe_rejects(self, ff3, cap):
+        with pytest.raises(ValueError, match="cap must be >= 1"):
+            f_property_probe(ff3, 1, 3, cap, 10)
+
+    def test_cap_one_still_counts_one(self, ff3):
+        assert enumerate_loops(ff3, 1, 3, 1, 10) == ([(1, 1, 1)], True)
+        probe = f_property_probe(ff3, 1, 3, 1, 10)
+        assert (probe.count, probe.exhausted) == (1, False)
 
 
 class TestFPropertyProbe:
@@ -246,3 +292,94 @@ class TestBuiltinsAndLoaders:
         bad = load_shift_text("1: 2\n2: 2\n")
         rep = check_shift(bad, 2, 10)
         assert 1 in rep.empty_columns
+
+
+class TestRowKernelDifferential:
+    @given(
+        name=st.sampled_from(sorted(KERNEL_SHIFTS)),
+        i=st.integers(min_value=1, max_value=9),
+        delta=st.integers(min_value=-2, max_value=2),
+        free_cap=st.integers(min_value=1, max_value=15),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_rows_and_continuation_match_the_former_readers(self, name, i, delta, free_cap):
+        spec = KERNEL_SHIFTS[name]
+        # caps below, at and above the row's end, where it has one
+        row, more = oracle_successors(spec, i, 60)
+        cap = max(1, (row[-1] if row else 0) + delta) if not more else free_cap
+        expected = oracle_successors(spec, i, cap)[0]
+        cont = oracle_row_continues_beyond(spec, i, cap)
+        assert successors(spec, i, cap) == (expected, cont)
+        assert (cont is not False) == oracle_successors(spec, i, cap)[1]
+        tail = []
+        assert list(successor_iter(spec, i, cap, tail)) == expected
+        assert tail == [cont]
+        assert list(successor_iter(spec, i, cap)) == list(oracle_successor_iter(spec, i, cap))
+
+    def test_a_consumer_that_stops_early_gets_no_answer(self, full):
+        tail = []
+        it = successor_iter(full, 1, 10, tail)
+        assert next(it) == 1
+        assert tail == []
+        assert list(it) == list(range(2, 11)) and tail == [True]
+
+    @pytest.mark.parametrize("cap", [0, -1])
+    def test_cap_below_one_is_rejected(self, full, cap):
+        with pytest.raises(ValueError, match="cap must be >= 1"):
+            successors(full, 1, cap)
+        with pytest.raises(ValueError, match="cap must be >= 1"):
+            next(successor_iter(full, 1, cap))
+
+    def test_hint_must_increase_strictly(self):
+        spec = ShiftSpec("bad", lambda i, j: True, successors_hint=lambda i: iter((1, 3, 3, 9)))
+        with pytest.raises(ValueError, match="not strictly increasing"):
+            successors(spec, 1, 5)
+        with pytest.raises(ValueError, match="not strictly increasing"):
+            list(successor_iter(spec, 1, 5))
+        # the check reads no further than the cap
+        assert successors(spec, 1, 2) == ([1], True)
+
+    def test_check_shift_counts_only_rows_that_surely_end(self):
+        def allowed(i, j):
+            return i != 2
+
+        assert check_shift(ShiftSpec("gap", allowed), 3, 10).empty_rows == ()
+        closed = ShiftSpec("gap-3", allowed, alphabet_size=3)
+        assert check_shift(closed, 3, 10).empty_rows == (2,)
+
+    @given(
+        name=st.sampled_from(sorted(KERNEL_SHIFTS)),
+        a=st.integers(min_value=1, max_value=4),
+        n=st.integers(min_value=1, max_value=4),
+        cap=st.integers(min_value=1, max_value=40),
+        symbol_cap=st.integers(min_value=1, max_value=8),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_loops_match_the_former_dfs(self, name, a, n, cap, symbol_cap):
+        spec = KERNEL_SHIFTS[name]
+        assert enumerate_loops(spec, a, n, cap, symbol_cap) == oracle_enumerate_loops(
+            spec, a, n, cap, symbol_cap
+        )
+
+    @given(
+        name=st.sampled_from(sorted(KERNEL_SHIFTS)),
+        i=st.integers(min_value=1, max_value=4),
+        n=st.integers(min_value=2, max_value=5),
+        cap=st.integers(min_value=1, max_value=40),
+        symbol_cap=st.integers(min_value=1, max_value=8),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_probe_matches_the_former_dfs(self, name, i, n, cap, symbol_cap):
+        spec = KERNEL_SHIFTS[name]
+        new = f_property_probe(spec, i, n, cap, symbol_cap)
+        old = oracle_f_property_probe(spec, i, n, cap, symbol_cap)
+        assert (new.count, new.exhausted, new.is_finite, new.cap, new.symbol_cap) == (
+            old.count, old.exhausted, old.is_finite, old.cap, old.symbol_cap
+        )
+        if new.exhausted:
+            assert new == old
+        else:
+            # rows read only in part before the cap stopped the probe
+            # have not reported, so only the rows read through can
+            # withdraw the certificate
+            assert new.certified >= old.certified

@@ -50,7 +50,6 @@ from cmshift.suspension import (
     flow_limit_analyze,
     flow_metric_rho,
     kac_lift,
-    kac_project,
     log1p_roof,
     parse_roof_text,
     roof_eval,
@@ -330,7 +329,7 @@ class TestKacLayer:
                 [(1, measure_from_cycle(full, random_cycle(full, rng, 9, 25)))]
             )
             lifted = kac_lift(nu, roof)
-            base, lam = kac_project(lifted)
+            base, lam = lifted.base, lifted.lam
             assert base is nu and lam == 1
 
     def test_lift_rejects_non_probability(self, full):
@@ -360,7 +359,7 @@ class TestKacLayer:
         z = FlowMeasure.zero(log1p_roof())
         assert z.is_zero
         assert flow_cylinder_mass(z, (3,)).hi == 0
-        base, lam = kac_project(z)
+        base, lam = z.base, z.lam
         assert base is None and lam == 0
 
     def test_pair_orbit_mass_bracket(self, full):
