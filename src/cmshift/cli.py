@@ -34,6 +34,7 @@ from .asymptotics import (
     non_f_witness_sequence,
     pair_loop_sequence,
 )
+from .exactval import fraction_str
 from .measures import (
     canonical_cylinders,
     combo_of_cylinder,
@@ -105,7 +106,7 @@ def _load_roof(args) -> object:
 def _echo(args) -> dict:
     skip = {"func", "out_dir", "config"}
     return {
-        k: (str(v) if isinstance(v, Fraction) else v)
+        k: (fraction_str(v) if isinstance(v, Fraction) else v)
         for k, v in sorted(vars(args).items())
         if k not in skip and v is not None
     }
@@ -261,8 +262,8 @@ def cmd_metric_d(args) -> int:
         args,
         "metric_d",
         {
-            "lower": str(lo),
-            "upper": str(hi),
+            "lower": fraction_str(lo),
+            "upper": fraction_str(hi),
             "lower_display": float(lo),
             "upper_display": float(hi),
             "cylinders": [
@@ -270,7 +271,10 @@ def cmd_metric_d(args) -> int:
             ],
         },
     )
-    print(f"d bracket over first {args.N} cylinders: [{lo}, {hi}]")
+    print(
+        f"d bracket over first {args.N} cylinders: "
+        f"[{fraction_str(lo)}, {fraction_str(hi)}]"
+    )
     return EXIT_OK
 
 
@@ -283,7 +287,7 @@ def cmd_metric_rho(args) -> int:
     _write_report(
         args,
         "metric_rho",
-        {"lower": str(lo), "upper": str(hi), "upper_display": float(hi)},
+        {"lower": fraction_str(lo), "upper": fraction_str(hi), "upper_display": float(hi)},
     )
     print(f"rho bracket over first {args.N} cylinders: [{float(lo):.6g}, {float(hi):.6g}]")
     return EXIT_OK
@@ -475,7 +479,7 @@ def cmd_densusp(args) -> int:
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "densusp_orbit.txt").write_text(
-        " ".join(str(s) for s in result.word) + "\n"
+        " ".join(map(str, result.word)) + "\n"
     )
     _write_report(args, "densusp", {"result": result.to_jsonable()})
     print(

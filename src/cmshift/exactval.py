@@ -42,15 +42,25 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import compress, repeat
 from math import gcd
 from numbers import Rational
 
-__all__ = ["Interval", "LogLinear", "fold_sum", "log_interval"]
+__all__ = ["Interval", "LogLinear", "fold_sum", "fraction_str", "log_interval"]
 
 _ZERO = Fraction(0)
+
+
+def fraction_str(q: Rational) -> str:
+    """`str(Fraction(q))`, also for integers past the int-to-str digit
+    limit: `decimal` converts integers of any size exactly, and the
+    process-wide limit is left alone."""
+    q = Fraction(q)
+    num = str(Decimal(q.numerator))
+    return num if q.denominator == 1 else f"{num}/{Decimal(q.denominator)}"
 
 
 def _dyadic_floor(x: Fraction, bits: int) -> Fraction:
@@ -150,7 +160,9 @@ def _log_in_1_2(u: Fraction, prec: int) -> Interval:
     floors or ceils it and its sum back to scale S with `//` and shifts.
     The series stops once twice the geometric tail bound
     z**(k+2) z**2 / ((k+2) (1 - z**2)) is at most 2**-(prec+2), decided by
-    one integer comparison; the last power is then added exactly, and
+    bit lengths and, for the last few terms, one integer comparison; the
+    division by k runs after the shift, in linear time, with the same
+    floors.  The last power is then added exactly, and
     each endpoint is one floor or ceiling of the exact value at scale
     2**(prec+2).  The endpoints are those of the same series evaluated
     in `Fraction`s with the same directed roundings.  If the result is
@@ -169,15 +181,23 @@ def _log_in_1_2(u: Fraction, prec: int) -> Interval:
         one_minus_zz = (1 << two) - zz_hi  # 1 - z_hi**2 at scale S**2
         lo_sum, hi_sum = z_lo, z_hi
         pow_lo, pow_hi = z_lo, z_hi
+        zz_bits = zz_hi.bit_length() + prec + 2
         k = 1
         while True:
             x_lo = pow_lo * zz_lo
             x_hi = pow_hi * zz_hi
             k += 2
-            if (x_hi * zz_hi) << (prec + 3) <= ((k + 2) * one_minus_zz) << three:
+            bound = (k + 2) * one_minus_zz
+            # the product x_hi * zz_hi has at least bit_length sum - 1
+            # bits, so the bit lengths alone reject all but the last terms
+            if (
+                x_hi.bit_length() + zz_bits <= bound.bit_length() + three
+                and (x_hi * zz_hi) << (prec + 3) <= bound << three
+            ):
                 break
-            lo_sum += x_lo // (k << two)
-            hi_sum -= -x_hi // (k << two)
+            # floor(x / (k * 2**two)) == floor(floor(x / 2**two) / k)
+            lo_sum += (x_lo >> two) // k
+            hi_sum -= (-x_hi >> two) // k
             pow_lo = x_lo >> two
             pow_hi = -(-x_hi >> two)
         # lo_sum + x_lo / k and hi_sum + x_hi / k + tail, at scale S**3

@@ -11,6 +11,7 @@ enumeration of admissible cylinders.
 from __future__ import annotations
 
 import itertools
+import math
 import threading
 import warnings
 import weakref
@@ -62,6 +63,9 @@ __all__ = [
 ]
 
 
+_ZERO = Fraction(0)
+
+
 class InadmissibleWordError(ValueError):
     """A word violates the transition rule of its shift."""
 
@@ -104,15 +108,29 @@ class PeriodicOrbit:
 
 
 def _primitive_root(word: Word) -> Word:
+    """The shortest u with word = u * (len(word) // len(u)).
+
+    The periods of a word that divide its length n are the divisors of n
+    that its primitive period divides.  So from d = n each prime p of n
+    is divided out of d while d/p is still a period, one C-level slice
+    comparison per step: O(n log n) whatever the divisors of n are.
+    """
     n = len(word)
-    for d in range(1, n):
-        if n % d == 0 and word == word[:d] * (n // d):
-            return word[:d]
-    return word
+    d, rest, p = n, n, 2
+    while rest > 1:
+        if p * p > rest:
+            p = rest  # the last prime factor
+        if rest % p == 0:
+            while rest % p == 0:
+                rest //= p
+            while d % p == 0 and word[d // p :] == word[: n - d // p]:
+                d //= p
+        p += 1
+    return word[:d]
 
 
 def periodic_orbit(spec: ShiftSpec, symbols: Iterable[int]) -> PeriodicOrbit:
-    word = tuple(int(s) for s in symbols)
+    word = tuple(map(int, symbols))
     if not word:
         raise InadmissibleWordError("empty cycle")
     if not is_admissible(spec, word):
@@ -289,34 +307,52 @@ def combo_of_cylinder(nu: ConvexCombination, word: Iterable[int]) -> Fraction:
     return total
 
 
-def cylinder_masses(
+def _mass_numerators(
     nu: ConvexCombination | PeriodicMeasure | RunWord, words: list[Word]
-) -> list[Fraction]:
-    """Exact masses of the cylinders of `words`, in order.
+) -> tuple[list[int], int]:
+    """Integer numerators k_n of the masses of the cylinders of `words`
+    over one common denominator L, so that mass n is k_n / L.
 
+    L is the lcm of weight denominator times period over the orbits.
     Each orbit is counted once per distinct word length among `words`
     (`_cyclic_window_counts`, or `_run_window_counts` for the periodic
-    measure of a `RunWord`) and each word is then one lookup per orbit,
-    so no word is searched for in a cycle.  The values equal
-    `combo_of_cylinder` (or `measure_of_cylinder`) word by word.  A run
-    word's masses equal those of the measure on its built word, since
-    count / period does not change when a word is replaced by its
-    primitive root.
+    measure of a `RunWord`), and each word is then one lookup per orbit,
+    so no word is searched for in a cycle.
     """
     terms = nu.terms if isinstance(nu, ConvexCombination) else ((1, nu),)
     lengths = {len(w) for w in words}
     if 0 in lengths:
         raise ValueError("cylinder words are nonempty")
-    masses = [Fraction(0)] * len(words)
+    # mass of orbit j on a word: wt_j * count / period_j = num_j * count / den_j
+    orbits = []
     for wt, mu in terms:
         orbit = mu if isinstance(mu, RunWord) else mu.orbit
+        orbits.append((wt.numerator, wt.denominator * orbit.period, orbit))
+    L = math.lcm(*(den for _, den, _ in orbits))
+    nums = [0] * len(words)
+    for num, den, orbit in orbits:
         counts = {r: _window_counts(orbit, r) for r in lengths}
-        period = orbit.period
+        scale = num * (L // den)
         for n, w in enumerate(words):
             c = counts[len(w)].get(w)
             if c:
-                masses[n] += wt * Fraction(c, period)
-    return masses
+                nums[n] += c * scale
+    return nums, L
+
+
+def cylinder_masses(
+    nu: ConvexCombination | PeriodicMeasure | RunWord, words: list[Word]
+) -> list[Fraction]:
+    """Exact masses of the cylinders of `words`, in order: the numerators
+    of `_mass_numerators` over their common denominator.
+
+    The values equal `combo_of_cylinder` (or `measure_of_cylinder`) word
+    by word.  A run word's masses equal those of the measure on its
+    built word, since count / period does not change when a word is
+    replaced by its primitive root.
+    """
+    nums, L = _mass_numerators(nu, words)
+    return [Fraction(k, L) if k else _ZERO for k in nums]
 
 
 def _window_masses(
@@ -584,9 +620,8 @@ def metric_d(a, b, N: int, spec: ShiftSpec) -> tuple[Fraction, Fraction]:
     cylinders; the upper bound adds the tail bound 2^-N.  The cylinders
     come from the shift's memoised canonical prefix, and a measure's
     masses on all N of them from one window count per orbit and word
-    length (`cylinder_masses`).  Cylinders on which both sides agree (on
-    a sparse shift most have mass 0 on both) add nothing and cost no
-    Fraction arithmetic.
+    length (`cylinder_masses`).  The sum runs on integers
+    (`_metric_bracket`).
     """
     if N < 1:
         raise ValueError("N must be >= 1")
@@ -594,15 +629,33 @@ def metric_d(a, b, N: int, spec: ShiftSpec) -> tuple[Fraction, Fraction]:
     return _metric_bracket(_cylinder_values(a, words), _cylinder_values(b, words), N)
 
 
+def _dyadic_sum(terms: list[int], denominator: int) -> Fraction:
+    """sum_n 2^-n t_n / denominator over the integers t_1, ..., t_N: one
+    Horner pass on integers, normalised once as a Fraction."""
+    acc = 0
+    for t in terms:
+        acc = (acc << 1) + t
+    return Fraction(acc, denominator << len(terms))
+
+
 def _metric_bracket(
     values_a: Iterable[Fraction], values_b: Iterable[Fraction], N: int
 ) -> tuple[Fraction, Fraction]:
     """The `metric_d` bracket from the values of both sides on the first
-    N canonical cylinders, in canonical order."""
-    lower = Fraction(0)
-    for n, (va, vb) in enumerate(zip(values_a, values_b), start=1):
-        if va != vb:
-            lower += Fraction(1, 2**n) * abs(va - vb)
+    N canonical cylinders, in canonical order.
+
+    The two streams are read in lockstep, as `zip` reads them, so of two
+    tables the one whose unrepresented word comes first raises.  The
+    values become integer numerators k over one common denominator L,
+    and the partial sum is one `_dyadic_sum` of |k_a - k_b| over L.
+    """
+    pairs = list(zip(values_a, values_b))
+    L = math.lcm(*{v.denominator for pair in pairs for v in pair})
+    lower = _dyadic_sum(
+        [abs(a.numerator * (L // a.denominator) - b.numerator * (L // b.denominator))
+         for a, b in pairs],
+        L,
+    )
     return lower, lower + Fraction(1, 2**N)
 
 

@@ -26,16 +26,17 @@ from .asymptotics import (
     first_return_loops,
     sequence_from_measures,
 )
-from .exactval import Interval, LogLinear, fold_sum
+from .exactval import Interval, LogLinear, fold_sum, fraction_str
 from .measures import (
     ConvexCombination,
     PeriodicMeasure,
     PeriodicOrbit,
     RunWord,
+    _dyadic_sum,
+    _mass_numerators,
     _metric_bracket,
     _window_counts,
     canonical_cylinders,
-    combo_of_cylinder,
     convex_combination,
     cylinder_masses,
     measure_from_cycle,
@@ -457,38 +458,36 @@ def kac_lift(mu: ConvexCombination, roof: RoofFunction) -> FlowMeasure:
 
 
 def _kac_brackets(
-    nu: FlowMeasure, base_masses: Iterable[Fraction], prec: int
-) -> list[Interval]:
-    """Brackets lam*c*m/I for each base mass m of a nonzero flow measure.
+    nu: FlowMeasure, words: list[Word], prec: int
+) -> tuple[list[int], Fraction, Fraction]:
+    """The flow brackets of `nu` on the cylinders of `words`, as integer
+    numerators k_n and one rational pair (a, b): bracket n is
+    [k_n * a, k_n * b], which holds lam*c*m_n/I for the base mass m_n.
 
-    Rational c and I give exact points.  Otherwise c and I are evaluated
-    to intervals once, on the first nonzero mass, and every bracket is
-    the same directed quotient of those two intervals.
+    With the base masses k_n / L (`_mass_numerators`), rational c and I
+    give the point a = b = lam*c/(I*L).  Otherwise [a, b] is the directed
+    quotient c.eval_interval(prec).scale(lam).div_pos(I.eval_interval(prec))
+    divided by L, evaluated once and only when some k_n is nonzero, so
+    that its ValueError is raised exactly then.  The zero measure, and a
+    measure with no mass on `words`, give a = b = 0.
     """
+    nums, L = ([0] * len(words), 1) if nu.is_zero else _mass_numerators(nu.base, words)
+    if not any(nums):
+        return nums, Fraction(0), Fraction(0)
     c, integral = nu.roof.floor, nu.integral
-    exact = c.is_rational and integral.is_rational
-    ivs = None
-    out = []
-    for m in base_masses:
-        m = m * nu.lam
-        if m == 0:
-            out.append(Interval.point(0))
-        elif exact:
-            out.append(Interval.point(m * c.as_fraction() / integral.as_fraction()))
-        else:
-            if ivs is None:
-                ivs = c.eval_interval(prec), integral.eval_interval(prec)
-            out.append(ivs[0].scale(m).div_pos(ivs[1]))
-    return out
+    if c.is_rational and integral.is_rational:
+        a = nu.lam * c.as_fraction() / (integral.as_fraction() * L)
+        return nums, a, a
+    iv = c.eval_interval(prec).scale(nu.lam).div_pos(integral.eval_interval(prec))
+    return nums, iv.lo / L, iv.hi / L
 
 
 def flow_cylinder_mass(
     nu: FlowMeasure, word: Iterable[int], prec: int = 64
 ) -> Interval:
     """Bracket for the measure of (cylinder x [0, c]): lam*c*base(C)/I."""
-    if nu.is_zero:
-        return Interval.point(0)
-    return _kac_brackets(nu, [combo_of_cylinder(nu.base, word)], prec)[0]
+    (k,), a, b = _kac_brackets(nu, [tuple(word)], prec)
+    return Interval(k * a, k * b)
 
 
 def _same_roof(r1: RoofFunction, r2: RoofFunction) -> bool:
@@ -511,9 +510,12 @@ def flow_metric_rho(
     cylinders plus the 2^-N tail allowance.
 
     The cylinders come from the shift's memoised canonical prefix.  Each
-    flow measure's base masses on all N of them come from one window
-    count per orbit and word length (`cylinder_masses`), and its c and I
-    are evaluated once (`_kac_brackets`), not once per cylinder.
+    side's brackets on all N of them are integer numerators k_n times one
+    rational pair [a, b] (`_kac_brackets`, which evaluates c and I at
+    most once per side, and only when that side has mass on a cylinder).
+    Over one common denominator D of both sides' pairs every endpoint of
+    every difference is an integer, so |x - y| is split into its cases on
+    integers, and each endpoint sum is one `_dyadic_sum` over D.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
@@ -528,20 +530,19 @@ def flow_metric_rho(
     ) or (nu1.is_zero and nu2.is_zero):
         return Fraction(0), tail
     words = canonical_cylinders(spec, N)
-
-    def brackets(nu: FlowMeasure) -> list[Interval]:
-        if nu.is_zero:
-            return [Interval.point(0)] * N
-        return _kac_brackets(nu, cylinder_masses(nu.base, words), prec)
-
-    lower = Fraction(0)
-    upper = Fraction(0)
-    for n, (x, y) in enumerate(zip(brackets(nu1), brackets(nu2)), start=1):
-        diff = (x - y).abs()
-        scale = Fraction(1, 2**n)
-        lower += diff.lo * scale
-        upper += diff.hi * scale
-    return lower, upper + tail
+    k1, a1, b1 = _kac_brackets(nu1, words, prec)
+    k2, a2, b2 = _kac_brackets(nu2, words, prec)
+    D = math.lcm(a1.denominator, b1.denominator, a2.denominator, b2.denominator)
+    p1, q1, p2, q2 = (v.numerator * (D // v.denominator) for v in (a1, b1, a2, b2))
+    lows, highs = [], []
+    for x, y in zip(k1, k2):
+        # D times (bracket x minus bracket y), then its absolute value
+        lo, hi = x * p1 - y * q2, x * q1 - y * p2
+        if lo < 0:
+            lo, hi = (-hi, -lo) if hi <= 0 else (0, max(-lo, hi))
+        lows.append(lo)
+        highs.append(hi)
+    return _dyadic_sum(lows, D), _dyadic_sum(highs, D) + tail
 
 
 # ---------------------------------------------------------------------------
@@ -779,8 +780,8 @@ class ApproxResult:
             "cycle": list(self.measure.orbit.cycle),
             "period": self.measure.period,
             "repetitions": self.repetitions,
-            "metric_lower": str(self.metric_bracket[0]),
-            "metric_upper": str(self.metric_bracket[1]),
+            "metric_lower": fraction_str(self.metric_bracket[0]),
+            "metric_upper": fraction_str(self.metric_bracket[1]),
             "metric_depth": self.metric_depth,
             "integral_gap_display": float(self.integral_gap),
             "target_integral_display": float(self.target_integral),
@@ -904,10 +905,10 @@ def approximate_by_single_orbit(
         block = _block_runs(spec, cycles, reps, caps)
         if block.period > BLOCK_WORD_CAP:
             raise ApproximationError(
-                f"tolerance {eps} not reached within the block-word cap of "
-                f"{BLOCK_WORD_CAP} symbols (the next block word has "
+                f"tolerance {fraction_str(eps)} not reached within the block-word "
+                f"cap of {BLOCK_WORD_CAP} symbols (the next block word has "
                 f"{block.period}"
-                + ("" if best is None else f"; best metric upper bound {best[2]}")
+                + ("" if best is None else f"; best metric upper bound {fraction_str(best[2])}")
                 + ")",
                 best=None if best is None else result(*best),
             )
@@ -927,7 +928,7 @@ def approximate_by_single_orbit(
             return result(R, lo, hi, gap, block)
         R *= 2
     raise ApproximationError(
-        f"tolerance {eps} not reached within {max_doublings} doublings "
-        f"(best metric upper bound {best[2]})",
+        f"tolerance {fraction_str(eps)} not reached within {max_doublings} doublings "
+        f"(best metric upper bound {fraction_str(best[2])})",
         best=result(*best),
     )

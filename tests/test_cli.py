@@ -2,13 +2,18 @@ import argparse
 import csv
 import io
 import json
+import sys
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from cmshift import cli
+from cmshift import cli, suspension
 from cmshift.cli import EXIT_CONFIG, EXIT_EXHAUSTED, EXIT_OK, main
+from cmshift.measures import metric_d, parse_combo_text
+from cmshift.shifts import parse_shift_arg
+from cmshift.suspension import flow_metric_rho, kac_lift, log1p_roof
 
 
 def run_cli(tmp_path, *argv):
@@ -461,3 +466,70 @@ class TestExitCodeContract:
         assert code == EXIT_CONFIG
         assert "roof values must be positive" in capsys.readouterr().err
         assert not out.exists()
+
+
+def exact_fraction(text: str) -> Fraction:
+    """Read the `str` form of a Fraction of any size: decimal reads
+    integers past the int-to-str digit limit."""
+    num, _, den = text.partition("/")
+    return Fraction(int(Decimal(num)), int(Decimal(den or "1")))
+
+
+def int_str_limit():
+    return getattr(sys, "get_int_max_str_digits", lambda: None)()
+
+
+class TestDigitLimit:
+    """Brackets and tolerances whose integers pass the int-to-str digit
+    limit (4300 digits by default) print exactly, in the `str` form of a
+    Fraction, and the process-wide limit is left as it was."""
+
+    COMBOS = ["--combo-a", "1:(1)", "--combo-b", "1:(2)"]
+
+    def _pair(self):
+        full = parse_shift_arg("full")
+        return full, parse_combo_text(full, "1:(1)"), parse_combo_text(full, "1:(2)")
+
+    def test_metric_d_at_N_15000(self, tmp_path, capsys):
+        limit = int_str_limit()
+        code, out = run_cli(tmp_path, "metric", "d", *self.COMBOS, "--N", "15000")
+        assert code == EXIT_OK, capsys.readouterr().err
+        payload = read_json(out, "metric_d")
+        full, a, b = self._pair()
+        lo, hi = metric_d(a, b, 15000, full)
+        assert exact_fraction(payload["lower"]) == lo
+        assert exact_fraction(payload["upper"]) == hi
+        assert len(payload["upper"]) > 4300
+        assert f"[{payload['lower']}, {payload['upper']}]" in capsys.readouterr().out
+        assert int_str_limit() == limit
+
+    @pytest.mark.parametrize("N, prec", [("15000", "64"), ("12", "15000")], ids=["N", "prec"])
+    def test_metric_rho_at_size(self, tmp_path, capsys, N, prec):
+        limit = int_str_limit()
+        code, out = run_cli(
+            tmp_path, "metric", "rho", "--roof", "log1p", *self.COMBOS,
+            "--N", N, "--prec", prec,
+        )
+        assert code == EXIT_OK, capsys.readouterr().err
+        payload = read_json(out, "metric_rho")
+        full, a, b = self._pair()
+        roof = log1p_roof()
+        lo, hi = flow_metric_rho(kac_lift(a, roof), kac_lift(b, roof), int(N), full, int(prec))
+        assert exact_fraction(payload["lower"]) == lo
+        assert exact_fraction(payload["upper"]) == hi
+        assert max(len(payload["lower"]), len(payload["upper"])) > 4300
+        assert int_str_limit() == limit
+
+    def test_densusp_tolerance_past_the_limit_is_exhausted(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(suspension, "BLOCK_WORD_CAP", 2**12)  # reach exit 3 sooner
+        code, out = run_cli(
+            tmp_path, "densusp", "--shift", "full", "--target", "1/2:(1);1/2:(2)",
+            "--roof", "log1p", "--eps", "1e-5000",
+        )
+        assert code == EXIT_EXHAUSTED, capsys.readouterr().err
+        payload = read_json(out, "densusp")
+        eps = "1/1" + "0" * 5000
+        assert payload["config"]["eps"] == eps
+        assert f"tolerance {eps} not reached" in payload["error"]
+        best = payload["best"]
+        assert exact_fraction(best["metric_lower"]) <= exact_fraction(best["metric_upper"])

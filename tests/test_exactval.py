@@ -160,6 +160,12 @@ class TestLogSeriesKernel:
         for prec in range(1, 257):
             assert _log_in_1_2(u, prec) == fraction_log_in_1_2(u, prec), prec
 
+    @pytest.mark.parametrize("u", [Fraction(2), Fraction(3, 2), Fraction(2**61 - 1, 2**60)])
+    @pytest.mark.parametrize("prec", [511, 1500])
+    def test_high_precision_matches_fraction_series(self, u, prec):
+        # where the stopping test and the division by k work on long integers
+        assert _log_in_1_2(u, prec) == fraction_log_in_1_2(u, prec)
+
     @given(
         num=st.integers(0, 10**45),
         den=st.one_of(st.integers(1, 10**6), st.integers(1, 10**45)),

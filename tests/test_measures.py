@@ -14,6 +14,7 @@ from cmshift.measures import (
     CylinderFunction,
     RunWord,
     _cyclic_window_counts,
+    _primitive_root,
     _run_window_counts,
     InadmissibleWordError,
     SymbolCapError,
@@ -816,25 +817,42 @@ class TestMassVectors:
                 convex_combination([(1, mu)]), b, N, spec
             )
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=100, deadline=None)
     @given(
         shift=st.sampled_from(sorted(DIFFERENTIAL_SHIFTS)),
         seed=st.integers(0, 2**32 - 1),
-        depth=st.integers(1, 7),
+        depths=st.tuples(st.integers(0, 7), st.integers(1, 7)),
+        caps=st.tuples(st.integers(1, 8), st.integers(1, 8)),
         N=st.integers(1, 90),
     )
-    def test_table_arguments_raise_at_the_oracles_index(self, shift, seed, depth, N):
+    def test_table_arguments_raise_at_the_oracles_index(self, shift, seed, depths, caps, N):
+        """A measure (depth 0) or a table against a table, in both orders:
+        of two failing tables the lower index raises."""
         spec, cap = DIFFERENTIAL_SHIFTS[shift]
         rng = random.Random(seed)
-        nu = random_combo(spec, rng, 2, cap)
-        table = CylinderFunction.from_combo(random_combo(spec, rng, 2, cap), depth, cap)
-        outcomes = []
-        for run in (metric_d, per_cylinder_metric_d):
-            try:
-                outcomes.append(run(nu, table, N, spec))
-            except UnrepresentedCylinderError as exc:
-                outcomes.append((exc.word, exc.index))
-        assert outcomes[0] == outcomes[1]
+        a, b = (
+            CylinderFunction.from_combo(random_combo(spec, rng, 2, cap), depth, min(c, cap))
+            if depth else random_combo(spec, rng, 2, cap)
+            for depth, c in zip(depths, caps)
+        )
+        for x, y in ((a, b), (b, a)):
+            outcomes = []
+            for run in (metric_d, per_cylinder_metric_d):
+                try:
+                    outcomes.append(run(x, y, N, spec))
+                except UnrepresentedCylinderError as exc:
+                    outcomes.append((exc.word, exc.index))
+            assert outcomes[0] == outcomes[1]
+
+    def test_of_two_failing_tables_the_lower_index_wins(self, full):
+        words = canonical_cylinders(full, 20)
+        shallow = CylinderFunction({}, {1: 10})  # fails at (1, 1), index 3
+        narrow = CylinderFunction({}, {1: 2, 2: 10, 3: 10})  # fails at (3,), index 4
+        assert words[2:4] == [(1, 1), (3,)]
+        for x, y in ((shallow, narrow), (narrow, shallow)):
+            with pytest.raises(UnrepresentedCylinderError) as err:
+                metric_d(x, y, 20, full)
+            assert (err.value.word, err.value.index) == ((1, 1), 3)
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -856,3 +874,43 @@ class TestMassVectors:
         nu = convex_combination([(1, fixed_point_measure(full, 1))])
         with pytest.raises(ValueError, match="nonempty"):
             cylinder_masses(nu, [(1,), ()])
+
+
+def divisor_scan_primitive_root(word):
+    """Oracle: the former `_primitive_root`, which tries every d in
+    1..n-1 that divides n and builds word[:d] * (n // d)."""
+    n = len(word)
+    for d in range(1, n):
+        if n % d == 0 and word == word[:d] * (n // d):
+            return word[:d]
+    return word
+
+
+# word lengths: 1, primes, powers of two, highly composite numbers and
+# numbers with a large prime factor
+PRIMITIVE_ROOT_LENGTHS = [1, 2, 3, 7, 97, 251, 4, 64, 512, 12, 60, 360, 720, 840, 2 * 127, 9 * 61]
+
+
+class TestPrimitiveRoot:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n=st.sampled_from(PRIMITIVE_ROOT_LENGTHS),
+        data=st.data(),
+        alphabet=st.integers(1, 3),
+        off=st.booleans(),
+    )
+    def test_matches_divisor_scan(self, n, data, alphabet, off):
+        divisors = [d for d in range(1, n + 1) if n % d == 0]
+        d = data.draw(st.sampled_from(divisors))
+        root = tuple(data.draw(st.lists(st.integers(1, alphabet), min_size=d, max_size=d)))
+        word = root * (n // d)
+        if off:  # one symbol off a power
+            i = data.draw(st.integers(0, n - 1))
+            word = word[:i] + (word[i] % 3 + 1,) + word[i + 1 :]
+        assert _primitive_root(word) == divisor_scan_primitive_root(word)
+
+    @pytest.mark.parametrize("word", [
+        (1,), (1, 1), (1, 2), (1, 2) * 6, (1, 1, 2) * 4 + (1, 1, 1), (1,) * 2**10 + (2,) * 2**10,
+    ])
+    def test_examples(self, word):
+        assert _primitive_root(word) == divisor_scan_primitive_root(word)

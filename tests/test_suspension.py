@@ -1004,14 +1004,27 @@ def random_flow_measure(spec, roof, rng, cap):
     return FlowMeasure(roof, base, roof_integral(roof, base), lam)
 
 
+def outcome(f, *args):
+    """The value of f(*args), or the type and message of what it raised."""
+    try:
+        return f(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+# nonpositive and tiny precisions make the enclosure of I reach 0, so
+# that div_pos raises; 16 and 64 give brackets of both kinds
+RHO_PRECS = [-1, 0, 1, 2, 16, 64]
+
+
 class TestFlowMassVectors:
     @settings(max_examples=120, deadline=None)
     @given(
         shift=st.sampled_from(sorted(DIFFERENTIAL_SHIFTS)),
         roof=st.sampled_from(sorted(FLOW_ROOFS)),
         seed=st.integers(0, 2**32 - 1),
-        N=st.integers(1, 60),
-        prec=st.sampled_from([16, 64]),
+        N=st.integers(1, 300),
+        prec=st.sampled_from(RHO_PRECS),
     )
     def test_rho_matches_per_cylinder_oracle(self, shift, roof, seed, N, prec):
         spec, cap = DIFFERENTIAL_SHIFTS[shift]
@@ -1019,9 +1032,50 @@ class TestFlowMassVectors:
         nu1, nu2 = (random_flow_measure(spec, FLOW_ROOFS[roof], rng, cap) for _ in range(2))
         if nu1.is_zero and nu2.is_zero:
             return  # the shortcut answers (0, 2^-N) without a sum
-        assert flow_metric_rho(nu1, nu2, N, spec, prec) == per_cylinder_rho(
-            nu1, nu2, N, spec, prec
+        assert outcome(flow_metric_rho, nu1, nu2, N, spec, prec) == outcome(
+            per_cylinder_rho, nu1, nu2, N, spec, prec
         )
+
+    def test_intervals_are_evaluated_at_the_first_charged_cylinder(self, full):
+        """At precision -1 the enclosure of I = log(11/10) reaches 0, so
+        div_pos raises, but only once the cylinder (5,) is among the N."""
+        roof = parse_roof_text("table 5 : log:11/10\ntail log1p\nc log:11/10\n")
+        far = kac_lift(convex_combination([(1, measure_from_cycle(full, (5,)))]), roof)
+        zero = FlowMeasure.zero(roof)
+        k = canonical_cylinders(full, 100).index((5,)) + 1
+        for N in (k - 1, k):
+            for pair in ((far, zero), (zero, far)):
+                assert outcome(flow_metric_rho, *pair, N, full, -1) == outcome(
+                    per_cylinder_rho, *pair, N, full, -1
+                )
+        assert flow_metric_rho(far, zero, k - 1, full, -1) == (0, Fraction(1, 2 ** (k - 1)))
+        with pytest.raises(ValueError, match="strictly positive divisor"):
+            flow_metric_rho(far, zero, k, full, -1)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        roof=st.sampled_from(sorted(FLOW_ROOFS)),
+        seed=st.integers(0, 2**32 - 1),
+        N=st.integers(1, 300),
+        prec=st.sampled_from(RHO_PRECS),
+        first=st.booleans(),
+    )
+    def test_rho_with_a_side_massless_on_the_cylinders(self, roof, seed, N, prec, first):
+        """One side lives on symbols beyond the first N cylinders of the
+        full shift, so its c and I are never evaluated, at any precision."""
+        spec, cap = DIFFERENTIAL_SHIFTS["full"]
+        rng = random.Random(seed)
+        top = max(max(w) for w in canonical_cylinders(spec, N))
+        # top + 1 occurs once, so the cycle is primitive
+        cycle = (top + 1, *(rng.randint(top + 2, top + 4) for _ in range(rng.randint(0, 3))))
+        base = convex_combination([(1, measure_from_cycle(spec, cycle))])
+        far = FlowMeasure(FLOW_ROOFS[roof], base, roof_integral(FLOW_ROOFS[roof], base), Fraction(1, 2))
+        other = random_flow_measure(spec, FLOW_ROOFS[roof], rng, cap)
+        pair = (far, other) if first else (other, far)
+        got = outcome(flow_metric_rho, *pair, N, spec, prec)
+        assert got == outcome(per_cylinder_rho, *pair, N, spec, prec)
+        if other.is_zero:
+            assert got == (0, Fraction(1, 2**N))
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -1058,7 +1112,8 @@ class TestKacDirect:
 
     def _brackets(self, nu, spec):
         words = list(itertools.islice(canonical_cylinder_iter(spec), self.WORDS))
-        vector = _kac_brackets(nu, cylinder_masses(nu.base, words), 64)
+        nums, a, b = _kac_brackets(nu, words, 64)
+        vector = [Interval(k * a, k * b) for k in nums]
         single = [flow_cylinder_mass(nu, w) for w in words]
         assert vector == single
         return words, single
