@@ -23,6 +23,7 @@ from .measures import (
     PeriodicMeasure,
     combo_of_cylinder,
     convex_combination,
+    integrate_test_function,
     measure_from_cycle,
     support_table,
 )
@@ -610,8 +611,6 @@ def weak_star_trace(
     seq: MeasureSequence, fs: Sequence, n_max: int
 ) -> list[list[Fraction]]:
     """Exact integral traces [f][n-1] = integral of f against term n."""
-    from .measures import integrate_test_function
-
     out: list[list[Fraction]] = [[] for _ in fs]
     for n in range(1, n_max + 1):
         combo = seq.term(n)

@@ -6,6 +6,11 @@ computed (not estimated) and must be zero, and the metric for the
 topology of convergence on cylinders is returned as an exact bracket
 (partial sum, partial sum + tail bound) over a fixed canonical
 enumeration of admissible cylinders.
+
+Every mass comes from one kernel, `_window_numerators`: one window
+count per orbit and word length, scaled to integer numerators over
+one common denominator.  Single cylinders, support tables, invariance
+defects, test-function integrals and the metric brackets all read it.
 """
 
 from __future__ import annotations
@@ -46,7 +51,6 @@ __all__ = [
     "convex_combination",
     "measure_of_cylinder",
     "combo_of_cylinder",
-    "cylinder_masses",
     "support_table",
     "invariance_check",
     "canonical_cylinders",
@@ -61,9 +65,6 @@ __all__ = [
     "combo_to_jsonable",
     "parse_combo_text",
 ]
-
-
-_ZERO = Fraction(0)
 
 
 class InadmissibleWordError(ValueError):
@@ -241,19 +242,6 @@ def _window_counts(orbit: PeriodicOrbit | RunWord, length: int) -> Counter[Word]
     return _cyclic_window_counts(orbit.cycle, length)
 
 
-def measure_of_cylinder(mu: PeriodicMeasure, word: Iterable[int]) -> Fraction:
-    """Exact mass of the cylinder of `word`: cyclic occurrences over period.
-
-    A one-length query of the window count that `cylinder_masses` reads
-    for every length at once.
-    """
-    w = tuple(word)
-    if not w:
-        raise ValueError("cylinder words are nonempty")
-    cycle = mu.orbit.cycle
-    return Fraction(_cyclic_window_counts(cycle, len(w))[w], len(cycle))
-
-
 # ---------------------------------------------------------------------------
 # finite convex combinations (sub-probabilities)
 
@@ -297,92 +285,74 @@ def convex_combination(
     return ConvexCombination(tuple(terms))
 
 
-def combo_of_cylinder(nu: ConvexCombination, word: Iterable[int]) -> Fraction:
-    w = tuple(word)
-    total = Fraction(0)
-    for wt, mu in nu.terms:
-        m = measure_of_cylinder(mu, w)
-        if m:  # most cylinders miss most orbits
-            total += wt * m
-    return total
+# ---------------------------------------------------------------------------
+# the mass kernel and its views
 
 
-def _mass_numerators(
-    nu: ConvexCombination | PeriodicMeasure | RunWord, words: list[Word]
-) -> tuple[list[int], int]:
-    """Integer numerators k_n of the masses of the cylinders of `words`
-    over one common denominator L, so that mass n is k_n / L.
+def _window_numerators(
+    nu: ConvexCombination | PeriodicMeasure | RunWord, lengths: Iterable[int]
+) -> tuple[dict[Word, int], int]:
+    """The masses of all cyclic windows of the given lengths, as integer
+    numerators k over one common denominator L: window w has mass
+    nums[w] / L, and a word that is no window has mass 0.
 
     L is the lcm of weight denominator times period over the orbits.
-    Each orbit is counted once per distinct word length among `words`
-    (`_cyclic_window_counts`, or `_run_window_counts` for the periodic
-    measure of a `RunWord`), and each word is then one lookup per orbit,
-    so no word is searched for in a cycle.
+    Each orbit is counted once per length (`_window_counts`, which reads
+    a `RunWord` from its runs), and each count c becomes c * num * (L //
+    den) for the orbit's weight num / den over its period.  A run word's
+    masses equal those of the measure on its built word, since count /
+    period does not change when a word is replaced by its primitive root.
     """
-    terms = nu.terms if isinstance(nu, ConvexCombination) else ((1, nu),)
-    lengths = {len(w) for w in words}
+    lengths = set(lengths)
     if 0 in lengths:
         raise ValueError("cylinder words are nonempty")
+    terms = nu.terms if isinstance(nu, ConvexCombination) else ((1, nu),)
     # mass of orbit j on a word: wt_j * count / period_j = num_j * count / den_j
     orbits = []
     for wt, mu in terms:
         orbit = mu if isinstance(mu, RunWord) else mu.orbit
         orbits.append((wt.numerator, wt.denominator * orbit.period, orbit))
     L = math.lcm(*(den for _, den, _ in orbits))
-    nums = [0] * len(words)
-    for num, den, orbit in orbits:
-        counts = {r: _window_counts(orbit, r) for r in lengths}
-        scale = num * (L // den)
-        for n, w in enumerate(words):
-            c = counts[len(w)].get(w)
-            if c:
-                nums[n] += c * scale
+    nums: dict[Word, int] = {}
+    for r in lengths:  # words of different lengths never collide
+        row: dict[Word, int] = {}
+        for num, den, orbit in orbits:
+            scale = num * (L // den)
+            counts = _window_counts(orbit, r)
+            if row:
+                for w, c in counts.items():
+                    row[w] = row.get(w, 0) + c * scale
+            else:  # the first orbit needs no merge
+                row = counts if scale == 1 else {w: c * scale for w, c in counts.items()}
+        nums.update(row)
     return nums, L
 
 
-def cylinder_masses(
+def _mass_numerators(
     nu: ConvexCombination | PeriodicMeasure | RunWord, words: list[Word]
-) -> list[Fraction]:
-    """Exact masses of the cylinders of `words`, in order: the numerators
-    of `_mass_numerators` over their common denominator.
-
-    The values equal `combo_of_cylinder` (or `measure_of_cylinder`) word
-    by word.  A run word's masses equal those of the measure on its
-    built word, since count / period does not change when a word is
-    replaced by its primitive root.
-    """
-    nums, L = _mass_numerators(nu, words)
-    return [Fraction(k, L) if k else _ZERO for k in nums]
+) -> tuple[list[int], int]:
+    """Integer numerators k_n of the masses of the cylinders of `words`
+    over one common denominator L, so that mass n is k_n / L: one
+    lookup per word in `_window_numerators`."""
+    nums, L = _window_numerators(nu, {len(w) for w in words})
+    return [nums.get(w, 0) for w in words], L
 
 
-def _window_masses(
-    nu: ConvexCombination, depth: int, symbol_cap: int
-) -> dict[Word, Fraction]:
-    """Exact combination mass of every cyclic window of length <= depth
-    whose symbols are all <= symbol_cap.
+def _one_mass(nu: ConvexCombination | PeriodicMeasure, word: Iterable[int]) -> Fraction:
+    """The mass of one cylinder: the kernel at one length."""
+    w = tuple(word)
+    nums, L = _window_numerators(nu, (len(w),))
+    return Fraction(nums.get(w, 0), L)
 
-    Each start j in [0, period) of an orbit extends its window one symbol
-    at a time and stops at the first symbol over the cap, so one orbit
-    costs O(period * depth) integer window counts, scaled to a mass once
-    per distinct word, however many words it carries.  A word that is no
-    window of an orbit has mass 0 under it, so these are the nonzero
-    values of `combo_of_cylinder` on those words.
-    """
-    masses: dict[Word, Fraction] = {}
-    for wt, mu in nu.terms:
-        cycle = mu.orbit.cycle
-        T = len(cycle)
-        ext = cycle * ((depth - 1) // T + 2)
-        counts: dict[Word, int] = {}
-        for j in range(T):
-            for end in range(j, j + depth):
-                if ext[end] > symbol_cap:
-                    break
-                w = ext[j : end + 1]
-                counts[w] = counts.get(w, 0) + 1
-        for w, c in counts.items():
-            masses[w] = masses.get(w, 0) + wt * Fraction(c, T)
-    return masses
+
+def measure_of_cylinder(mu: PeriodicMeasure, word: Iterable[int]) -> Fraction:
+    """Exact mass of the cylinder of `word`: cyclic occurrences over period."""
+    return _one_mass(mu, word)
+
+
+def combo_of_cylinder(nu: ConvexCombination, word: Iterable[int]) -> Fraction:
+    """Exact mass of the cylinder of `word` under a combination."""
+    return _one_mass(nu, word)
 
 
 def support_table(
@@ -391,12 +361,12 @@ def support_table(
     """All cylinders of length <= depth and symbols <= symbol_cap with
     nonzero mass, in sorted word order.
 
-    Read off the orbits directly: one pass over each orbit's cyclic
-    windows (`_window_masses`) gives every such word and its mass, so
-    no word is searched for separately.
+    Read off the orbits directly: the windows of `_window_numerators` up
+    to `depth` are every such word, so no word is searched for.
     """
-    masses = _window_masses(nu, depth, symbol_cap)
-    return {w: masses[w] for w in sorted(masses)}
+    nums, L = _window_numerators(nu, range(1, depth + 1))
+    words = sorted(w for w in nums if max(w) <= symbol_cap)
+    return {w: Fraction(nums[w], L) for w in words}
 
 
 # ---------------------------------------------------------------------------
@@ -425,9 +395,11 @@ def invariance_check(
     support words of length up to `depth`; the reported count covers the
     whole depth by that argument.
 
-    Both sides come from one window count per orbit at depth + 1: the
-    preimage mass of D is the total mass of the windows sD, which are
-    exactly the windows of length len(D) + 1 whose tail is D.
+    Both sides come from one window count per orbit and length up to
+    depth + 1 (`_window_numerators`): the preimage mass of D is the
+    total mass of the windows sD, which are exactly the windows of
+    length len(D) + 1 whose tail is D.  The defects are taken on the
+    integer numerators, and only a nonzero one becomes a Fraction.
     """
     if not isinstance(nu, ConvexCombination):
         raise TypeError(
@@ -441,18 +413,17 @@ def invariance_check(
         raise SymbolCapError(
             f"symbol cap {symbol_cap} misses orbit symbol {alphabet[-1]}"
         )
-    masses = _window_masses(nu, depth + 1, symbol_cap)
-    preimage: dict[Word, Fraction] = {}
-    for w, m in masses.items():
+    nums, L = _window_numerators(nu, range(1, depth + 2))
+    preimage: dict[Word, int] = {}
+    for w, k in nums.items():
         if len(w) > 1:
-            preimage[w[1:]] = preimage.get(w[1:], 0) + m
-    support = sorted(w for w in masses if len(w) <= depth)
+            preimage[w[1:]] = preimage.get(w[1:], 0) + k
+    support = sorted(w for w in nums if len(w) <= depth)
     defects = []
     for word in support:
-        value = masses[word]
-        pre = preimage.get(word, Fraction(0))
-        if value != pre:
-            defects.append((word, abs(value - pre)))
+        gap = abs(nums[word] - preimage.get(word, 0))
+        if gap:
+            defects.append((word, Fraction(gap, L)))
     max_defect = max((d for _, d in defects), default=Fraction(0))
     return InvarianceReport(
         max_defect=max_defect,
@@ -593,24 +564,26 @@ def canonical_cylinders(spec: ShiftSpec, count: int) -> list[Word]:
     return words
 
 
-def _cylinder_values(obj, words: list[Word]) -> Iterable[Fraction]:
-    """Values of a measure or a cylinder table on `words`, in order.
+def _side_numerators(obj, words: list[Word]) -> tuple[list[int], int]:
+    """Values of a measure or a cylinder table on `words`, in order, as
+    integer numerators over one common denominator.
 
-    Measures give their whole mass vector at once.  Tables are read
-    lazily, word by word, so the first unrepresented word raises with
-    its canonical index.
+    A measure's come from `_mass_numerators`.  A table is read word by
+    word, and its first unrepresented word raises with its canonical
+    index.
     """
     if isinstance(obj, (ConvexCombination, PeriodicMeasure)):
-        return cylinder_masses(obj, words)
-    if isinstance(obj, CylinderFunction):
-        def table_values():
-            for n, word in enumerate(words, start=1):
-                try:
-                    yield obj.value(word)
-                except UnrepresentedCylinderError:
-                    raise UnrepresentedCylinderError(word, n) from None
-        return table_values()
-    raise TypeError(f"cannot evaluate cylinders of {type(obj).__name__}")
+        return _mass_numerators(obj, words)
+    if not isinstance(obj, CylinderFunction):
+        raise TypeError(f"cannot evaluate cylinders of {type(obj).__name__}")
+    values = []
+    for n, word in enumerate(words, start=1):
+        try:
+            values.append(obj.value(word))
+        except UnrepresentedCylinderError:
+            raise UnrepresentedCylinderError(word, n) from None
+    L = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (L // v.denominator) for v in values], L
 
 
 def metric_d(a, b, N: int, spec: ShiftSpec) -> tuple[Fraction, Fraction]:
@@ -619,14 +592,24 @@ def metric_d(a, b, N: int, spec: ShiftSpec) -> tuple[Fraction, Fraction]:
     The lower bound is the exact partial sum over the first N canonical
     cylinders; the upper bound adds the tail bound 2^-N.  The cylinders
     come from the shift's memoised canonical prefix, and a measure's
-    masses on all N of them from one window count per orbit and word
-    length (`cylinder_masses`).  The sum runs on integers
-    (`_metric_bracket`).
+    masses on all N of them from the one mass kernel
+    (`_window_numerators`): one window count per orbit and word length,
+    as integer numerators over one lcm.  The sum runs on those integers
+    (`_metric_bracket`).  Of two tables that fail, the one with the
+    lower canonical index raises, `a` on a tie.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
     words = canonical_cylinders(spec, N)
-    return _metric_bracket(_cylinder_values(a, words), _cylinder_values(b, words), N)
+    sides, failures = [], []
+    for obj in (a, b):
+        try:
+            sides.append(_side_numerators(obj, words))
+        except UnrepresentedCylinderError as exc:
+            failures.append(exc)
+    if failures:
+        raise min(failures, key=lambda exc: exc.index)
+    return _metric_bracket(*sides, N)
 
 
 def _dyadic_sum(terms: list[int], denominator: int) -> Fraction:
@@ -639,23 +622,19 @@ def _dyadic_sum(terms: list[int], denominator: int) -> Fraction:
 
 
 def _metric_bracket(
-    values_a: Iterable[Fraction], values_b: Iterable[Fraction], N: int
+    side_a: tuple[list[int], int], side_b: tuple[list[int], int], N: int
 ) -> tuple[Fraction, Fraction]:
     """The `metric_d` bracket from the values of both sides on the first
-    N canonical cylinders, in canonical order.
+    N canonical cylinders, in canonical order, each given as numerators
+    k over its own denominator.
 
-    The two streams are read in lockstep, as `zip` reads them, so of two
-    tables the one whose unrepresented word comes first raises.  The
-    values become integer numerators k over one common denominator L,
-    and the partial sum is one `_dyadic_sum` of |k_a - k_b| over L.
+    Over L = lcm(L_a, L_b) the partial sum is one `_dyadic_sum` of
+    |k_a * (L / L_a) - k_b * (L / L_b)| over L.
     """
-    pairs = list(zip(values_a, values_b))
-    L = math.lcm(*{v.denominator for pair in pairs for v in pair})
-    lower = _dyadic_sum(
-        [abs(a.numerator * (L // a.denominator) - b.numerator * (L // b.denominator))
-         for a, b in pairs],
-        L,
-    )
+    (nums_a, L_a), (nums_b, L_b) = side_a, side_b
+    L = math.lcm(L_a, L_b)
+    sa, sb = L // L_a, L // L_b
+    lower = _dyadic_sum([abs(x * sa - y * sb) for x, y in zip(nums_a, nums_b)], L)
     return lower, lower + Fraction(1, 2**N)
 
 
@@ -808,16 +787,16 @@ def indicator(word: Iterable[int]) -> TestFunction:
 
 
 def integrate_test_function(f: TestFunction, nu: ConvexCombination) -> Fraction:
-    """Exact integral of f against a finite combination of periodic measures."""
+    """Exact integral of f against a finite combination of periodic
+    measures: one `_window_numerators` call for all atoms."""
     if f.tail_threshold is not None and f.tail_value != 0:
         above = [s for s in nu.orbit_symbols if s > f.tail_threshold]
         if above:
             raise TailInteractionError(
                 f"tail threshold {f.tail_threshold} is below orbit symbols {sorted(above)}"
             )
-    return sum(
-        (a * combo_of_cylinder(nu, w) for a, w in f.atoms), Fraction(0)
-    )
+    nums, L = _window_numerators(nu, {len(w) for _, w in f.atoms})
+    return sum((a * nums.get(w, 0) for a, w in f.atoms), Fraction(0)) / L
 
 
 @dataclass(frozen=True)

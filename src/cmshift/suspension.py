@@ -38,7 +38,6 @@ from .measures import (
     _window_counts,
     canonical_cylinders,
     convex_combination,
-    cylinder_masses,
     measure_from_cycle,
     metric_d,
 )
@@ -896,7 +895,7 @@ def approximate_by_single_orbit(
         )
 
     words = canonical_cylinders(spec, N)
-    target_masses = cylinder_masses(target, words)
+    target_side = _mass_numerators(target, words)
     eps_value = LogLinear.from_rational(eps)
     best = None  # (R, lo, hi, gap, block) of the best doubling so far
     R = R0
@@ -917,7 +916,7 @@ def approximate_by_single_orbit(
         short = tuple(itertools.chain.from_iterable(s * min(r, 2) for s, r in block.runs))
         if not is_admissible(spec, short + short[:1]):
             measure_from_cycle(spec, _block_word(block))  # raises its error
-        lo, hi = _metric_bracket(cylinder_masses(block, words), target_masses, N)
+        lo, hi = _metric_bracket(_mass_numerators(block, words), target_side, N)
         integral = fold_sum([(Fraction(1, block.period), birkhoff_sum(roof, block))])
         gap = integral - target_integral
         if gap.sign() < 0:

@@ -14,6 +14,7 @@ from cmshift.measures import (
     CylinderFunction,
     RunWord,
     _cyclic_window_counts,
+    _mass_numerators,
     _primitive_root,
     _run_window_counts,
     InadmissibleWordError,
@@ -27,7 +28,6 @@ from cmshift.measures import (
     canonical_cylinders,
     combo_of_cylinder,
     convex_combination,
-    cylinder_masses,
     fixed_point_measure,
     indicator,
     integrate_test_function,
@@ -389,9 +389,27 @@ class TestTestFunctions:
                 [(1, measure_from_cycle(full, random_cycle(full, rng, 6, 6)))]
             )
             word = random_cycle(full, rng, 3, 6)
-            assert integrate_test_function(indicator(word), nu) == combo_of_cylinder(
-                nu, word
-            )
+            assert integrate_test_function(indicator(word), nu) == naive_combo_mass(nu, word)
+
+    def test_mixed_atoms_match_direct_scans(self, full, star):
+        # atoms of mixed lengths, repeated atoms, and words longer than
+        # the periods, against one direct scan per atom
+        rng = random.Random(17)
+        for spec in (full, star):
+            for _ in range(20):
+                nu = random_combo(spec, rng, rng.randint(0, 3), 6)
+                windows = [
+                    (mu.orbit.cycle * 4)[j : j + rng.randint(1, 2 * mu.period + 3)]
+                    for _, mu in nu.terms
+                    for j in range(mu.period)
+                ]
+                words = windows + [random_cycle(spec, rng, 5, 6) for _ in range(3)]
+                atoms = [(Fraction(rng.randint(-4, 4), rng.randint(1, 5)), w) for w in words]
+                atoms += atoms[: rng.randint(0, len(atoms))]  # repeats
+                f = TestFunction.from_atoms(atoms)
+                assert integrate_test_function(f, nu) == sum(
+                    (a * naive_combo_mass(nu, w) for a, w in atoms), Fraction(0)
+                )
 
     def test_tail_interaction_raises(self, full):
         f = TestFunction.from_atoms([], tail_threshold=2, tail_value=Fraction(1))
@@ -484,7 +502,7 @@ class TestC0Conditions:
 
 
 def per_word_support_table(nu, depth, symbol_cap):
-    """Oracle: the former support table, one cylinder evaluation per word."""
+    """Oracle: the former support table, one direct scan per word."""
     words = set()
     for _, mu in nu.terms:
         cycle = mu.orbit.cycle
@@ -495,18 +513,18 @@ def per_word_support_table(nu, depth, symbol_cap):
                 w = tuple(ext[j : j + length])
                 if max(w) <= symbol_cap:
                     words.add(w)
-    return {w: combo_of_cylinder(nu, w) for w in sorted(words)}
+    return {w: naive_combo_mass(nu, w) for w in sorted(words)}
 
 
 def per_word_invariance(nu, depth, symbol_cap):
-    """Oracle: the former invariance check, one cylinder evaluation per
-    preimage symbol."""
+    """Oracle: the former invariance check, one direct scan per preimage
+    symbol."""
     alphabet = sorted(nu.orbit_symbols)
     support = per_word_support_table(nu, depth, symbol_cap)
     defects = []
     for word, value in support.items():
         pre = sum(
-            (combo_of_cylinder(nu, (s,) + word) for s in alphabet), Fraction(0)
+            (naive_combo_mass(nu, (s,) + word) for s in alphabet), Fraction(0)
         )
         if value != pre:
             defects.append((word, abs(value - pre)))
@@ -572,6 +590,7 @@ class TestWindowCountDifferential:
     def test_support_and_invariance_match_per_word(self, shift_name, request):
         spec = request.getfixturevalue(shift_name)
         rng = random.Random(shift_name)
+        cases = []
         for _ in range(40):
             terms = []
             weights = [rng.randint(1, 5) for _ in range(rng.randint(1, 3))]
@@ -581,10 +600,15 @@ class TestWindowCountDifferential:
             nu = convex_combination(terms)
             depth = rng.randint(1, 5)
             cap = rng.randint(1, 14)  # often below the orbit symbols
+            cases.append((nu, depth, cap))
+        # the zero measure, and depths above every period of a combination
+        cases += [(convex_combination([]), depth, 3) for depth in (1, 4)]
+        cases += [(nu, nu.max_period() + extra, 14) for nu, _, _ in cases[:5] for extra in (1, 3)]
+        for nu, depth, cap in cases:
             table = support_table(nu, depth, cap)
             oracle = per_word_support_table(nu, depth, cap)
             assert list(table.items()) == list(oracle.items())
-            cap = max(cap, max(nu.orbit_symbols))
+            cap = max(cap, max(nu.orbit_symbols, default=cap))
             report = invariance_check(nu, depth, cap)
             assert (report.max_defect, report.defects, report.words_checked) == (
                 per_word_invariance(nu, depth, cap)
@@ -866,14 +890,40 @@ class TestMassVectors:
         nu = random_combo(spec, rng, rng.randint(0, 4), cap)
         words = fresh_canonical(spec, N)
         rng.shuffle(words)  # any order and any mix of lengths
-        masses = cylinder_masses(nu, words)
-        assert masses == [naive_combo_mass(nu, w) for w in words]
-        assert masses == [combo_of_cylinder(nu, w) for w in words]
+        nums, L = _mass_numerators(nu, words)
+        oracle = [naive_combo_mass(nu, w) for w in words]
+        assert [Fraction(k, L) for k in nums] == oracle
+        assert [combo_of_cylinder(nu, w) for w in words] == oracle
+        # a run word against its built word, on windows of that word
+        # longer than its period too
+        runs = tuple(
+            (random_cycle(spec, rng, 4, cap), rng.randint(1, 6)) for _ in range(rng.randint(1, 3))
+        )
+        cycle = built_word(runs)
+        ext = cycle * 3
+        words += [
+            ext[j : j + rng.randint(1, 2 * len(cycle) + 2)]
+            for j in (rng.randrange(len(cycle)) for _ in range(8))
+        ]
+        nums, L = _mass_numerators(RunWord(runs), words)
+        assert [Fraction(k, L) for k in nums] == [naive_cyclic_mass(cycle, w) for w in words]
 
     def test_empty_word_is_rejected(self, full):
-        nu = convex_combination([(1, fixed_point_measure(full, 1))])
-        with pytest.raises(ValueError, match="nonempty"):
-            cylinder_masses(nu, [(1,), ()])
+        mu = fixed_point_measure(full, 1)
+        nu = convex_combination([(1, mu)])
+        zero = convex_combination([])
+        calls = [
+            lambda: _mass_numerators(nu, [(1,), ()]),
+            lambda: _mass_numerators(zero, [()]),
+            lambda: _mass_numerators(RunWord((((1, 2), 3),)), [()]),
+            lambda: measure_of_cylinder(mu, ()),
+            lambda: combo_of_cylinder(nu, ()),
+            lambda: combo_of_cylinder(zero, ()),  # the zero measure too
+            lambda: integrate_test_function(TestFunction(((Fraction(1), ()),)), zero),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="nonempty"):
+                call()
 
 
 def divisor_scan_primitive_root(word):

@@ -23,9 +23,7 @@ from cmshift.measures import (
     InadmissibleWordError,
     canonical_cylinder_iter,
     canonical_cylinders,
-    combo_of_cylinder,
     convex_combination,
-    cylinder_masses,
     fixed_point_measure,
     measure_from_cycle,
     metric_d,
@@ -380,7 +378,7 @@ class TestKacLayer:
             recovered = (
                 iv.lo * lifted.integral.as_fraction() / roof.floor.as_fraction()
             )
-            assert recovered == combo_of_cylinder(nu, word)
+            assert recovered == naive_combo_mass(nu, word)
 
 
 class TestFlowMetric:
