@@ -13,7 +13,6 @@ search exhausted its caps (a partial report is still written).
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import json
 import sys
@@ -121,33 +120,53 @@ def _write_report(args, name: str, payload: dict) -> Path:
     return path
 
 
-def _write_csv(args, name: str, header: list[str], rows: Iterable[list]) -> Path:
+def _write_csv(args, name: str, header: list[str], lines: Iterable[str]) -> Path:
+    """Write `header` and then `lines`, each already a CSV line.
+
+    Every report CSV is comma-separated with CRLF line ends, as
+    `csv.writer` writes it, and no field ever needs quoting: fields are
+    ints, floats (`str(float) == repr(float)`) and words written as
+    digits and `-`.
+    """
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     path = out / f"{name}.csv"
     with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.write(_csv_line(header))
+        fh.writelines(lines)
     return path
+
+
+def _csv_line(row: Iterable) -> str:
+    return ",".join(map(str, row)) + "\r\n"
 
 
 def _word_str(word) -> str:
     return "-".join(str(s) for s in word)
 
 
-def _trace_rows(report) -> Iterator[list]:
-    """The dense words x n trace, streamed; a sample missing from a
-    sparse trace is the value 0."""
+def _trace_rows(report) -> Iterator[str]:
+    """The dense words x n trace, streamed as one text block per word.
+
+    A sample missing from a sparse trace is the value 0.  So only the
+    stored samples are formatted, and each run of missing ones between
+    them is one join on the word's zero-row suffix.  The sample indices
+    are distinct (`cylinder_limit` samples n = 1..n_max).
+    """
+    texts = [str(n) for n in report.sample_indices]
+    at = {n: k for k, n in enumerate(report.sample_indices)}
     for word in sorted(report.traces):
         label = _word_str(word)
-        sparse = report.traces[word]
-        for n in report.sample_indices:
-            v = sparse.get(n)
-            if v is None:
-                yield [n, label, 0, 1, 0.0]
-            else:
-                yield [n, label, v.numerator, v.denominator, float(v)]
+        zero = f",{label},0,1,0.0\r\n"
+        stored = sorted((at[n], v) for n, v in report.traces[word].items())
+        parts, start = [], 0
+        for k, v in stored:
+            # rows start..k-1 are zero: each index text, then the suffix
+            parts.append(zero.join([*texts[start:k], ""]))
+            parts.append(f"{texts[k]},{label},{v.numerator},{v.denominator},{float(v)!r}\r\n")
+            start = k + 1
+        parts.append(zero.join([*texts[start:], ""]))
+        yield "".join(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +211,7 @@ def cmd_orbit_enum(args) -> int:
         args,
         "orbit_enum",
         ["index", "word"],
-        [[i + 1, _word_str(w)] for i, w in enumerate(loops)],
+        (_csv_line((i, _word_str(w))) for i, w in enumerate(loops, 1)),
     )
     _write_report(args, "orbit_enum", {"count": len(loops), "saturated": saturated})
     print(f"{len(loops)} loops at {args.a} of length {args.n} (saturated={saturated})")
@@ -378,7 +397,7 @@ def cmd_nonf_demo(args) -> int:
     rows = []
     for n in range(1, args.count + 1):
         v = combo_of_cylinder(seq.term(n), (args.i,))
-        rows.append([n, _word_str((args.i,)), v.numerator, v.denominator, float(v)])
+        rows.append(_csv_line((n, args.i, v.numerator, v.denominator, float(v))))
     _write_csv(
         args,
         "nonf_demo",
@@ -411,7 +430,7 @@ def cmd_entropy(args) -> int:
         args,
         "entropy",
         ["n", "loop_count", "estimate_display"],
-        [[r.n, r.loop_count, r.estimate] for r in report.rows],
+        (_csv_line((r.n, r.loop_count, r.estimate)) for r in report.rows),
     )
     _write_report(args, "entropy", {"entropy": report.to_jsonable()})
     print(
@@ -446,7 +465,7 @@ def cmd_flow_limit(args) -> int:
         args,
         "flow_limit",
         ["n", "integral_display"],
-        [[n + 1, float(v)] for n, v in enumerate(report.integral_trace)],
+        (_csv_line((n, float(v))) for n, v in enumerate(report.integral_trace, 1)),
     )
     _write_report(args, "flow_limit", {"flow_limit": report.to_jsonable()})
     print(f"flow limit verdict: {report.verdict}")

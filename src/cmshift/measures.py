@@ -138,11 +138,17 @@ def periodic_orbit(spec: ShiftSpec, symbols: Iterable[int]) -> PeriodicOrbit:
         raise InadmissibleWordError(f"word {word} is not admissible for {spec.name}")
     if not spec.is_allowed(word[-1], word[0]):
         raise InadmissibleWordError(f"cycle {word} does not close up")
+    return _primitive_orbit(word)
+
+
+def _primitive_orbit(word: Word) -> PeriodicOrbit:
+    """The orbit of an admissible closed cycle, reduced to its primitive
+    root with a warning; the caller has checked the cycle."""
     root = _primitive_root(word)
     if len(root) < len(word):
         warnings.warn(
             f"cycle {word} is a power of {root}; reduced to its primitive root",
-            stacklevel=2,
+            stacklevel=3,
         )
     return PeriodicOrbit(root)
 

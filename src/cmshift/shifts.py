@@ -90,9 +90,9 @@ def is_admissible(spec: ShiftSpec, symbols: Iterable[int]) -> bool:
     transitions costs t oracle calls, not n - 1.
     """
     word = tuple(symbols)
-    if not word or any(s < 1 for s in word):
+    if not word or min(word) < 1:
         return False
-    if spec.alphabet_size is not None and any(s > spec.alphabet_size for s in word):
+    if spec.alphabet_size is not None and max(word) > spec.alphabet_size:
         return False
     return all(spec.is_allowed(a, b) for a, b in dict.fromkeys(zip(word, word[1:])))
 

@@ -35,6 +35,7 @@ from .measures import (
     _dyadic_sum,
     _mass_numerators,
     _metric_bracket,
+    _primitive_orbit,
     _window_counts,
     canonical_cylinders,
     convex_combination,
@@ -846,8 +847,9 @@ def approximate_by_single_orbit(
     is, and the target's masses are computed once.  Admissibility is
     checked per doubling on a short word with the same symbols and
     distinct transitions.  The word itself is built once, for the
-    returned orbit or the exit-3 best.  Doubling stops before a block
-    word would exceed `BLOCK_WORD_CAP` symbols.
+    returned orbit or the exit-3 best, and is not checked again.
+    Doubling stops before a block word would exceed `BLOCK_WORD_CAP`
+    symbols.
     """
     eps = Fraction(eps)
     if eps <= 0:
@@ -885,7 +887,7 @@ def approximate_by_single_orbit(
     def result(R: int, lo: Fraction, hi: Fraction, gap: LogLinear, block: RunWord):
         word = _block_word(block)
         return ApproxResult(
-            measure=measure_from_cycle(spec, word),
+            measure=PeriodicMeasure(_primitive_orbit(word)),
             repetitions=R,
             metric_bracket=(lo, hi),
             metric_depth=N,

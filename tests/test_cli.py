@@ -3,15 +3,18 @@ import csv
 import io
 import json
 import sys
+import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cmshift import cli, suspension
 from cmshift.cli import EXIT_CONFIG, EXIT_EXHAUSTED, EXIT_OK, main
-from cmshift.measures import metric_d, parse_combo_text
+from cmshift.measures import combo_of_cylinder, metric_d, parse_combo_text
 from cmshift.shifts import parse_shift_arg
 from cmshift.suspension import flow_metric_rho, kac_lift, log1p_roof
 
@@ -293,29 +296,164 @@ def dense_trace_rows(report) -> list[list]:
     return rows
 
 
+def csv_bytes(header, rows) -> bytes:
+    """Oracle: the bytes `csv.writer` writes for a header and rows."""
+    expected = io.StringIO(newline="")
+    writer = csv.writer(expected)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return expected.getvalue().encode()
+
+
+def recording(monkeypatch, name: str) -> list:
+    """Wrap `cli.<name>` so that every value it returns is kept."""
+    results = []
+    inner = getattr(cli, name)
+
+    def wrapper(*a, **kw):
+        results.append(inner(*a, **kw))
+        return results[-1]
+
+    monkeypatch.setattr(cli, name, wrapper)
+    return results
+
+
+TRACE_HEADER = ["n", "cylinder", "numerator", "denominator", "value_display"]
+
+
 class TestStreamedTrace:
     @pytest.mark.parametrize("argv", [
         ["--shift", "full", "--seq", "pair-loops", "--n-max", "200", "--symbol-cap", "200"],
         ["--shift", "full", "--seq", "point-masses", "--n-max", "6", "--symbol-cap", "8"],
     ])
     def test_csv_matches_dense_oracle(self, tmp_path, monkeypatch, argv):
-        reports = []
-
-        def recording(*a, **kw):
-            reports.append(limit(*a, **kw))
-            return reports[-1]
-
-        limit = cli.cylinder_limit
-        monkeypatch.setattr(cli, "cylinder_limit", recording)
+        reports = recording(monkeypatch, "cylinder_limit")
         code, out = run_cli(tmp_path, "converge", "trace", *argv)
         assert code == EXIT_OK
         (report,) = reports
         assert any(len(t) < len(report.sample_indices) for t in report.traces.values())
+        expected = csv_bytes(TRACE_HEADER, dense_trace_rows(report))
+        assert (out / "converge_trace.csv").read_bytes() == expected
+
+    @given(
+        n_max=st.integers(1, 12),
+        traces=st.dictionaries(
+            st.lists(st.integers(1, 10**6), min_size=1, max_size=3).map(tuple),
+            st.dictionaries(
+                st.integers(1, 12),
+                st.fractions(min_value=0, max_value=1, max_denominator=10**30),
+            ),
+            max_size=4,
+        ),
+    )
+    def test_blocks_match_dense_oracle(self, n_max, traces):
+        # stored samples first, last, adjacent, everywhere or nowhere
+        report = argparse.Namespace(
+            sample_indices=tuple(range(1, n_max + 1)),
+            traces={w: {n: v for n, v in t.items() if n <= n_max} for w, t in traces.items()},
+        )
+        expected = csv_bytes(TRACE_HEADER, dense_trace_rows(report)).decode()
+        assert "".join(cli._trace_rows(report)) == expected.split("\r\n", 1)[1]
+
+
+class TestCsvBytes:
+    """Every CSV verb writes the bytes `csv.writer` would write."""
+
+    @pytest.mark.parametrize("argv", [
+        ["--shift", "finite_full:3", "--a", "1", "--n", "4"],
+        ["--shift", "star", "--a", "1", "--n", "4", "--symbol-cap", "30"],
+        ["--shift", "full", "--a", "2", "--n", "3", "--cap", "7"],
+    ])
+    def test_orbit_enum(self, tmp_path, monkeypatch, argv):
+        results = recording(monkeypatch, "enumerate_loops")
+        code, out = run_cli(tmp_path, "orbit", "enum", *argv)
+        assert code == EXIT_OK
+        ((loops, _),) = results
+        rows = [[i + 1, "-".join(map(str, w))] for i, w in enumerate(loops)]
+        expected = csv_bytes(["index", "word"], rows)
+        assert (out / "orbit_enum.csv").read_bytes() == expected
+
+    @pytest.mark.parametrize("argv", [
+        ["--shift", "full", "--i", "1", "--q", "2", "--count", "20"],
+        ["--shift", "full", "--i", "2", "--q", "3", "--count", "12", "--symbol-cap", "60"],
+    ])
+    def test_nonf_demo(self, tmp_path, monkeypatch, argv):
+        results = recording(monkeypatch, "non_f_witness_sequence")
+        code, out = run_cli(tmp_path, "nonf-demo", *argv)
+        assert code == EXIT_OK
+        (seq,) = results
+        i, count = int(argv[argv.index("--i") + 1]), int(argv[argv.index("--count") + 1])
+        rows = []
+        for n in range(1, count + 1):
+            v = combo_of_cylinder(seq.term(n), (i,))
+            rows.append([n, str(i), v.numerator, v.denominator, float(v)])
+        assert (out / "nonf_demo.csv").read_bytes() == csv_bytes(TRACE_HEADER, rows)
+
+    @pytest.mark.parametrize("argv", [
+        ["--shift", "finite_full:3", "--a", "1", "--n", "1..12"],
+        # loops at 2 on the star have even length: odd rows log 0 = -inf
+        ["--shift", "star", "--a", "2", "--n", "1..6", "--symbol-cap", "40"],
+    ])
+    def test_entropy(self, tmp_path, monkeypatch, argv):
+        results = recording(monkeypatch, "gurevich_entropy_estimate")
+        code, out = run_cli(tmp_path, "entropy", *argv)
+        assert code == EXIT_OK
+        (report,) = results
+        rows = [[r.n, r.loop_count, r.estimate] for r in report.rows]
+        assert any(r.estimate == float("-inf") for r in report.rows) == ("star" in argv)
+        expected = csv_bytes(["n", "loop_count", "estimate_display"], rows)
+        assert (out / "entropy.csv").read_bytes() == expected
+
+    @pytest.mark.parametrize("argv", [
+        ["--shift", "full", "--seq", "point-masses", "--n-max", "30"],
+        ["--shift", "full", "--seq", "pair-loops", "--n-max", "12", "--roof", "log1p"],
+    ])
+    def test_flow_limit(self, tmp_path, monkeypatch, argv):
+        results = recording(monkeypatch, "flow_limit_analyze")
+        code, out = run_cli(tmp_path, "flow", "limit", *argv)
+        assert code == EXIT_OK
+        (report,) = results
+        rows = [[n + 1, float(v)] for n, v in enumerate(report.integral_trace)]
+        expected = csv_bytes(["n", "integral_display"], rows)
+        assert (out / "flow_limit.csv").read_bytes() == expected
+
+
+# report labels: cylinder words written as digits joined by "-"
+LABELS = st.lists(st.integers(1, 10**12), min_size=1, max_size=5).map(
+    lambda w: "-".join(map(str, w))
+)
+FIELDS = st.one_of(
+    st.integers(),
+    st.integers(-(10**300), 10**300),
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.sampled_from([-0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e300, 1e16]),
+    LABELS,
+)
+
+
+class TestCsvLine:
+    @given(st.lists(FIELDS, min_size=1, max_size=6))
+    def test_matches_csv_writer(self, row):
         expected = io.StringIO(newline="")
-        writer = csv.writer(expected)
-        writer.writerow(["n", "cylinder", "numerator", "denominator", "value_display"])
-        writer.writerows(dense_trace_rows(report))
-        assert (out / "converge_trace.csv").read_bytes() == expected.getvalue().encode()
+        csv.writer(expected).writerow(row)
+        assert cli._csv_line(row) == expected.getvalue()
+
+    def test_trace_write_streams(self, tmp_path, monkeypatch):
+        # blocks are written one word at a time, never as one string
+        reports = recording(monkeypatch, "cylinder_limit")
+        argv = ["--shift", "full", "--seq", "pair-loops", "--n-max", "200", "--symbol-cap", "200"]
+        code, out = run_cli(tmp_path, "converge", "trace", *argv)
+        assert code == EXIT_OK
+        size = (out / "converge_trace.csv").stat().st_size
+        args = argparse.Namespace(out_dir=str(tmp_path / "again"))
+        tracemalloc.start()
+        try:
+            cli._write_csv(args, "converge_trace", TRACE_HEADER, cli._trace_rows(reports[0]))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert size > 2_000_000 and peak < size // 4
+        assert (tmp_path / "again" / "converge_trace.csv").stat().st_size == size
 
 
 @pytest.fixture

@@ -56,6 +56,26 @@ class TestAdmissibility:
         assert not is_admissible(full, ())
         assert not is_admissible(full, (0, 1))
 
+    @given(
+        word=st.lists(st.integers(-2, 8), max_size=8),
+        alphabet_size=st.one_of(st.none(), st.integers(1, 7)),
+    )
+    def test_matches_naive_oracle(self, word, alphabet_size):
+        spec = ShiftSpec("no-sum-3k", lambda i, j: (i + j) % 3 != 0, alphabet_size=alphabet_size)
+        naive = bool(word) and all(
+            s >= 1 and (alphabet_size is None or s <= alphabet_size) for s in word
+        ) and all(spec.allowed(a, b) for a, b in zip(word, word[1:]))
+        assert is_admissible(spec, word) == naive
+        assert is_admissible(spec, iter(word)) == naive
+
+    @pytest.mark.parametrize("word, expected", [
+        ((0,), False), ((-1,), False), ((1, 0), False), ((-1, 1), False),
+        ((4,), True), ((5,), False), ((1, 4), True), ((4, 5), False), ((1,), True),
+    ])
+    def test_alphabet_bounds(self, word, expected):
+        spec = ShiftSpec("four", lambda i, j: True, alphabet_size=4)
+        assert is_admissible(spec, word) is expected
+
     def test_long_word_forbidden_only_at_the_end(self):
         calls = []
 

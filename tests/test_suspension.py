@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import warnings
 from collections import Counter
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -933,6 +934,52 @@ class TestRunLengthDensusp:
         new, old = _run_both(target, log1p_roof(), Fraction(1, 10), spec)
         assert isinstance(new, InadmissibleWordError)
         assert type(new) is type(old) and str(new) == str(old)
+
+
+class TestDensuspOrbit:
+    """The returned orbit is built from its certified word without a
+    second admissibility walk, and is the word's periodic measure."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        shift=st.sampled_from(sorted(DIFFERENTIAL_SHIFTS)),
+        seed=st.integers(0, 2**32 - 1),
+        terms=st.integers(1, 3),
+        eps=st.sampled_from([Fraction(1, 10), Fraction(1, 100), Fraction(1, 10**9)]),
+    )
+    def test_measure_is_measure_from_cycle(self, shift, seed, terms, eps):
+        spec, cap = DIFFERENTIAL_SHIFTS[shift]
+        target = random_combo(spec, random.Random(seed), terms, cap, probability=True)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # a block word may be a power
+            try:
+                res = approximate_by_single_orbit(
+                    target, log1p_roof(), eps, spec, max_doublings=4
+                )
+            except ApproximationError as exc:
+                res = exc.best
+            assert res is not None
+            assert res.measure == measure_from_cycle(spec, res.word)
+
+    def test_checks_the_word_once(self, full, monkeypatch):
+        # the orbit comes from the short certified word: the block word
+        # of 2^k symbols is never walked by is_admissible
+        seen = []
+        inner = suspension.is_admissible
+
+        def counting(spec, word):
+            seen.append(len(word))
+            return inner(spec, word)
+
+        monkeypatch.setattr(suspension, "is_admissible", counting)
+        monkeypatch.setattr("cmshift.measures.is_admissible", counting)
+        target = convex_combination(
+            [(Fraction(1, 2), fixed_point_measure(full, 1)),
+             (Fraction(1, 2), fixed_point_measure(full, 5))]
+        )
+        res = approximate_by_single_orbit(target, log1p_roof(), Fraction(1, 10**4), full)
+        assert len(res.word) > 1000
+        assert seen and max(seen) <= 5
 
 
 class TestRoofParsing:
