@@ -240,6 +240,8 @@ def cylinder_limit(
         raise ValueError("tol must be positive")
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
+    if depth < 1:
+        raise ValueError("depth must be >= 1")
     indices = tuple(range(1, n_max + 1))
     traces: dict[Word, dict[int, Fraction]] = {}
     for n in indices:

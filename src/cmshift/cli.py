@@ -15,9 +15,11 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from collections.abc import Iterable, Iterator
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from . import __version__
@@ -111,12 +113,87 @@ def _echo(args) -> dict:
     }
 
 
+def _at_least_one(args, *names: str) -> None:
+    """Reject an option below 1 that no library call rejects: `shift
+    info` reads its rows itself, and the rho and flow-limit kernels take
+    any precision `eval_interval` takes, down to -1."""
+    for name in names:
+        if getattr(args, name) < 1:
+            raise ValueError(f"{name} must be >= 1")
+
+
+def _float_text(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if x == math.inf:
+        return "Infinity"
+    if x == -math.inf:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _key_text(key) -> str:
+    # as in json: a float, int, bool or None key is its JSON text, quoted
+    if not isinstance(key, str):
+        if not (key is None or isinstance(key, (int, float))):
+            raise TypeError(
+                f"keys must be str, int, float, bool or None, not {key.__class__.__name__}"
+            )
+        key = _json_text(key)
+    return encode_basestring_ascii(key)
+
+
+def _json_text(o, newline: str = "\n") -> str:
+    """`json.dumps(o, indent=2, sort_keys=True)`, byte for byte.
+
+    Below Python 3.13 `json` encodes `indent` output in pure Python, one
+    generator step per value; this walker joins whole containers, and a
+    list of exact ints, such as a densusp cycle, in one `join`.
+    `newline` is the line break plus the indentation of `o`.
+    """
+    if isinstance(o, str):
+        return encode_basestring_ascii(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        return _float_text(o)
+    inner = newline + "  "
+    if isinstance(o, (list, tuple)):
+        if not o:
+            return "[]"
+        if set(map(type, o)) == {int}:
+            items = map(int.__repr__, o)
+        else:
+            items = [_json_text(v, inner) for v in o]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if isinstance(o, dict):
+        if not o:
+            return "{}"
+        items = [_key_text(k) + ": " + _json_text(v, inner) for k, v in sorted(o.items())]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+
+
+# Python 3.13's json encodes indented output in C, faster than the walker
+_report_text = (
+    functools.partial(json.dumps, indent=2, sort_keys=True)
+    if sys.version_info >= (3, 13)
+    else _json_text
+)
+
+
 def _write_report(args, name: str, payload: dict) -> Path:
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     payload = {"version": __version__, "config": _echo(args), **payload}
     path = out / f"{name}.json"
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    path.write_text(_report_text(payload) + "\n")
     return path
 
 
@@ -174,6 +251,7 @@ def _trace_rows(report) -> Iterator[str]:
 
 
 def cmd_shift_info(args) -> int:
+    _at_least_one(args, "horizon")
     spec = _load_shift(args)
     rows = {}
     for i in range(1, args.horizon + 1):
@@ -298,6 +376,7 @@ def cmd_metric_d(args) -> int:
 
 
 def cmd_metric_rho(args) -> int:
+    _at_least_one(args, "prec")
     spec = _load_shift(args)
     roof = _load_roof(args)
     a = kac_lift(parse_combo_text(spec, args.combo_a), roof)
@@ -398,17 +477,17 @@ def cmd_nonf_demo(args) -> int:
     for n in range(1, args.count + 1):
         v = combo_of_cylinder(seq.term(n), (args.i,))
         rows.append(_csv_line((n, args.i, v.numerator, v.denominator, float(v))))
+    # the table cap sits below the family's moving symbols so the final
+    # values show the limit, not the last term's escaping block
+    table_cap = args.table_cap or max(args.i + 1, args.count // 2)
+    report = cylinder_limit(seq, args.depth, table_cap, args.count, args.tol)
+    cls = classify_limit(report, min(args.K, table_cap), args.tol)
     _write_csv(
         args,
         "nonf_demo",
         ["n", "cylinder", "numerator", "denominator", "value_display"],
         rows,
     )
-    # the table cap sits below the family's moving symbols so the final
-    # values show the limit, not the last term's escaping block
-    table_cap = args.table_cap or max(args.i + 1, args.count // 2)
-    report = cylinder_limit(seq, args.depth, table_cap, args.count, args.tol)
-    cls = classify_limit(report, min(args.K, table_cap), args.tol)
     _write_report(
         args,
         "nonf_demo",
@@ -455,6 +534,7 @@ def cmd_flow_integral(args) -> int:
 
 
 def cmd_flow_limit(args) -> int:
+    _at_least_one(args, "prec")
     spec = _load_shift(args)
     roof = _load_roof(args)
     seq = _build_sequence(spec, args)

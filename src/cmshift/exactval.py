@@ -32,9 +32,13 @@ normal form is built once, at the end.
 Numeric enclosures are directed rational intervals: `eval_interval(p)`
 returns a bracket of width at most 2**-p whose endpoints are dyadic
 rationals, computed from the atanh series with outward rounding at
-every step.  Order comparisons first test the cached 32-bit enclosures
-of both sides and refine the sign of the difference only when they
-overlap.
+every step.  The log enclosures are dyadic too, so `eval_interval`
+sums them times the coefficients, with the rational part, as integer
+numerators over one denominator lcm(denominators) * 2**k and rounds
+each endpoint outward once; the endpoints are those of the same sum in
+`Fraction`s.  Order comparisons first test the cached 32-bit
+enclosures of both sides and refine the sign of the difference only
+when they overlap.
 """
 
 from __future__ import annotations
@@ -52,6 +56,8 @@ from numbers import Rational
 __all__ = ["Interval", "LogLinear", "fold_sum", "fraction_str", "log_interval"]
 
 _ZERO = Fraction(0)
+_ONE = Fraction(1)
+_MINUS_ONE = Fraction(-1)
 
 
 def fraction_str(q: Rational) -> str:
@@ -61,6 +67,14 @@ def fraction_str(q: Rational) -> str:
     q = Fraction(q)
     num = str(Decimal(q.numerator))
     return num if q.denominator == 1 else f"{num}/{Decimal(q.denominator)}"
+
+
+def _display_float(q: Fraction) -> float:
+    """`float(q)`, saturated to +-inf beyond the float range."""
+    try:
+        return float(q)
+    except OverflowError:
+        return math.inf if q > 0 else -math.inf
 
 
 def _dyadic_floor(x: Fraction, bits: int) -> Fraction:
@@ -235,6 +249,16 @@ def _log_pos_interval(x: Fraction, prec: int) -> Interval:
 @lru_cache(maxsize=4096)
 def _int_log_interval(b: int, prec: int) -> Interval:
     return _log_pos_interval(Fraction(b), prec)
+
+
+@lru_cache(maxsize=4096)
+def _log_numerators(b: int, prec: int) -> tuple[int, int, int]:
+    """`_int_log_interval(b, prec)` as (lo, hi, k), the enclosure
+    [lo / 2**k, hi / 2**k]; its endpoints are dyadic."""
+    iv = _int_log_interval(b, prec)
+    lo, hi = iv.lo, iv.hi
+    k = max(lo.denominator, hi.denominator).bit_length() - 1
+    return (lo.numerator << k) // lo.denominator, (hi.numerator << k) // hi.denominator, k
 
 
 def log_interval(x: Rational, prec: int) -> Interval:
@@ -428,13 +452,20 @@ class LogLinear:
     @classmethod
     def log_of(cls, r: Rational) -> "LogLinear":
         """Exact log(r) for rational r > 0."""
-        r = Fraction(r)
-        if r <= 0:
+        if not isinstance(r, (int, Fraction)):
+            r = Fraction(r)
+        n, d = r.numerator, r.denominator
+        if n <= 0:
             raise ValueError("log of a nonpositive value")
-        # numerator and denominator are coprime: the normal form is both,
-        # less whichever is 1
-        terms = ((r.numerator, Fraction(1)), (r.denominator, Fraction(-1)))
-        return cls._make(_ZERO, {b: c for b, c in terms if b != 1})
+        # n and d are coprime: the normal form is log n - log d, sorted by
+        # base, less whichever is 1
+        if d == 1:
+            return cls(_ZERO, ((n, _ONE),) if n != 1 else ())
+        if n == 1:
+            return cls(_ZERO, ((d, _MINUS_ONE),))
+        if n < d:
+            return cls(_ZERO, ((n, _ONE), (d, _MINUS_ONE)))
+        return cls(_ZERO, ((d, _MINUS_ONE), (n, _ONE)))
 
     @classmethod
     def zero(cls) -> "LogLinear":
@@ -571,15 +602,37 @@ class LogLinear:
     __hash__ = None  # normal forms are not unique; semantic equality only
 
     def eval_interval(self, prec: int) -> Interval:
-        """Directed enclosure of the value, width <= 2**-prec."""
+        """Directed enclosure of the value, width <= 2**-prec.
+
+        Each log enclosure is taken `pad + cbits` bits finer than the
+        result and scaled by its coefficient; the sum of these with the
+        rational part is rounded outward once, to 2**-(prec + 1).  The
+        sum runs on integer numerators over den * 2**k, where den is the
+        lcm of the rational denominators and 2**-k the finest log grid.
+        """
         pad = (len(self.logs) + 1).bit_length() + 1
-        lo = hi = self.rational
+        q = self.rational
+        den, k = q.denominator, 0
+        terms = []
         for b, c in self.logs:
-            cbits = (abs(c.numerator) // c.denominator + 1).bit_length() + 1
-            iv = _int_log_interval(b, prec + pad + cbits).scale(c)
-            lo += iv.lo
-            hi += iv.hi
-        return Interval(lo, hi).rounded(prec + 1)
+            cn, cd = c.numerator, c.denominator
+            cbits = (abs(cn) // cd + 1).bit_length() + 1
+            lo, hi, bits = _log_numerators(b, prec + pad + cbits)
+            # the lower end of c * [lo, hi] is c * hi for c < 0
+            terms.append((lo, hi, bits, cn, cd) if cn > 0 else (hi, lo, bits, cn, cd))
+            den = math.lcm(den, cd)
+            k = max(k, bits)
+        lo_sum = hi_sum = q.numerator * (den // q.denominator) << k
+        for lo, hi, bits, cn, cd in terms:
+            f = cn * (den // cd)
+            lo_sum += lo * f << (k - bits)
+            hi_sum += hi * f << (k - bits)
+        p = prec + 1
+        scale = den << k
+        return Interval(
+            Fraction((lo_sum << p) // scale, 1 << p),
+            Fraction(-((-hi_sum << p) // scale), 1 << p),
+        )
 
     def __float__(self) -> float:
         # display convenience; certified values come from eval_interval.
@@ -587,8 +640,8 @@ class LogLinear:
         # compensated from Python 3.12 on and would change the last digit.
         total = 0.0
         for b, c in self.logs:
-            total += float(c) * math.log(b)
-        return float(self.rational) + total
+            total += _display_float(c) * math.log(b)
+        return _display_float(self.rational) + total
 
     def to_jsonable(self) -> dict:
         return {

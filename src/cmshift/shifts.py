@@ -591,6 +591,8 @@ class ShiftCheckReport:
 
 def check_shift(spec: ShiftSpec, horizon: int, symbol_cap: int) -> ShiftCheckReport:
     """No-empty-row/column and reachability probes, truncation-relative."""
+    if horizon < 1:
+        raise ValueError("horizon must be >= 1")
     top = horizon if spec.alphabet_size is None else min(horizon, spec.alphabet_size)
     empty_rows = []
     empty_cols = []

@@ -334,7 +334,11 @@ def class_R_check(
     grows, so one running minimum from the top symbol down, which keeps
     the earlier pool position on ties, gives every m(k) in
     O(horizon + |table|) comparisons, and m never decreases.
+    The pools are empty, and the verdict inconclusive, only for a roof
+    with no tail rule and no table word whose first symbol is >= 1.
     """
+    if horizon < 1:
+        raise ValueError("horizon must be >= 1")
     violations = []
     for w, v in sorted(roof.table.items()):
         if v < roof.floor:
@@ -605,6 +609,8 @@ def flow_limit_analyze(
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
+    if depth < 1:
+        raise ValueError("depth must be >= 1")
     tol = Fraction(tol)
     terms = []
     integrals = []

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from cmshift.asymptotics import NotEnoughLoopsError
+from cmshift.exactval import Interval, LogLinear, _int_log_interval
 from cmshift.measures import C0Report, convex_combination, measure_from_cycle
 from cmshift.shifts import (
     ProbeResult,
@@ -351,3 +352,27 @@ def oracle_c0_conditions_check(f, spec, horizon):
         certified=certified_box[0],
         horizon=horizon,
     )
+
+
+# ---------------------------------------------------------------------------
+# the former Fraction loops of `LogLinear.eval_interval` and
+# `LogLinear.log_of`, kept as oracles for the integer forms
+
+
+def oracle_eval_interval(x, prec: int):
+    pad = (len(x.logs) + 1).bit_length() + 1
+    lo = hi = x.rational
+    for b, c in x.logs:
+        cbits = (abs(c.numerator) // c.denominator + 1).bit_length() + 1
+        iv = _int_log_interval(b, prec + pad + cbits).scale(c)
+        lo += iv.lo
+        hi += iv.hi
+    return Interval(lo, hi).rounded(prec + 1)
+
+
+def oracle_log_of(r):
+    r = Fraction(r)
+    if r <= 0:
+        raise ValueError("log of a nonpositive value")
+    terms = ((r.numerator, Fraction(1)), (r.denominator, Fraction(-1)))
+    return LogLinear._make(Fraction(0), {b: c for b, c in terms if b != 1})

@@ -2,6 +2,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 import tracemalloc
 from decimal import Decimal
@@ -9,7 +10,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cmshift import cli, suspension
@@ -169,6 +170,22 @@ class TestVerbs:
         )
         assert code == EXIT_OK
         assert read_json(out, "flow_integral")["integral"]["display"] == 4.494391780125285
+
+    @pytest.mark.parametrize("argv, name, display", [
+        (["flow", "integral", "--combo", "1:(1,2)"], "flow_integral",
+         lambda r: r["integral"]["display"]),
+        (["flow", "limit", "--n-max", "5", "--symbol-cap", "10"], "flow_limit",
+         lambda r: r["flow_limit"]["integral_trace_display"][-1]),
+        (["flow", "classr", "--horizon", "4"], "flow_classr",
+         lambda r: r["class_r"]["m_rows"][0]["display"]),
+        (["densusp", "--shift", "full", "--target", "1/2:(1);1/2:(2)", "--eps", "1/10"],
+         "densusp", lambda r: r["result"]["target_integral_display"]),
+    ], ids=["flow-integral", "flow-limit", "flow-classr", "densusp"])
+    def test_roof_beyond_float_range_displays_infinity(self, tmp_path, argv, name, display):
+        code, out = run_cli(tmp_path, *argv, "--roof", "const:1e400")
+        assert code == EXIT_OK
+        assert display(read_json(out, name)) == math.inf
+        assert "Infinity" in (out / f"{name}.json").read_text()
 
     def test_densusp_writes_orbit_and_certificates(self, tmp_path):
         code, out = run_cli(
@@ -524,6 +541,76 @@ class TestParserReuse:
         assert len(built) == 1
 
 
+json_floats = st.one_of(
+    st.floats(allow_subnormal=True),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, -2.2250738585072014e-308]),
+)
+json_texts = st.one_of(
+    st.text(st.characters(exclude_categories=())),  # lone surrogates too
+    st.sampled_from(['"', "\\", "\x00\x1f\x7f", "\ud800", "\udfff\ud800", "\u2028", "é€😀"]),
+)
+json_scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(-10**300, 10**300), json_floats, json_texts,
+)
+
+
+def json_dicts(values):
+    # the keys of one dict must sort together, as they do in stdlib json
+    return st.one_of(
+        st.dictionaries(json_texts, values, max_size=5),
+        st.dictionaries(
+            st.one_of(st.integers(-10**300, 10**300), json_floats, st.booleans()),
+            values, max_size=5,
+        ),
+        st.dictionaries(st.none(), values, max_size=1),
+    )
+
+
+json_values = st.recursive(
+    json_scalars,
+    lambda children: st.one_of(
+        st.lists(children, max_size=5),
+        st.lists(children, max_size=5).map(tuple),
+        st.lists(st.one_of(st.integers(-10**300, 10**300), st.booleans())),
+        json_dicts(children),
+    ),
+    max_leaves=40,
+)
+
+
+class TestReportText:
+    """The report encoder against stdlib `json` with the report layout."""
+
+    @given(value=json_values)
+    @settings(max_examples=400, deadline=None)
+    def test_walker_matches_stdlib(self, value):
+        assert cli._json_text(value) == json.dumps(value, indent=2, sort_keys=True)
+
+    @pytest.mark.parametrize("value", [{"a": object()}, [1, {2, 3}], {(1,): 2}, {1: 2, "a": 3}])
+    def test_walker_raises_where_stdlib_does(self, value):
+        with pytest.raises(TypeError):
+            json.dumps(value, indent=2, sort_keys=True)
+        with pytest.raises(TypeError):
+            cli._json_text(value)
+
+    def test_stdlib_is_used_where_it_encodes_indent_in_c(self):
+        assert (cli._report_text is cli._json_text) == (sys.version_info < (3, 13))
+
+    @pytest.mark.parametrize("argv", [
+        *VERBS,
+        ["densusp", "--shift", "full", "--target", "1/2:(1);1/2:(2)", "--eps", "1e-3"],
+        ["flow", "limit", "--n-max", "6", "--symbol-cap", "10", "--roof", "const:1e400"],
+    ], ids=lambda argv: "-".join(a for a in argv[:2] if not a.startswith("-")))
+    def test_reports_round_trip_through_stdlib(self, tmp_path, argv):
+        code, out = run_cli(tmp_path, *argv)
+        assert code == EXIT_OK
+        reports = sorted(out.glob("*.json"))
+        assert reports
+        for path in reports:
+            text = path.read_text()
+            assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+
+
 # one small, valid argv per verb; the contract sweep overrides one integer
 # option at a time
 CONTRACT_BASE = {
@@ -580,16 +667,27 @@ class TestExitCodeContract:
         assert code in (EXIT_OK, EXIT_CONFIG, EXIT_EXHAUSTED), argv
 
     @pytest.mark.parametrize("value", ["0", "-1"])
-    @pytest.mark.parametrize("path, option, message", [
-        (("orbit", "enum"), "--cap", "cap must be >= 1"),
-        (("nonf-demo",), "--count", "count must be >= 1"),
-    ], ids=["orbit-enum--cap", "nonf-demo--count"])
-    def test_loop_caps_below_one_are_config_errors(
-        self, tmp_path, capsys, path, option, message, value
-    ):
+    @pytest.mark.parametrize("path, option", [
+        pytest.param(path, option, id=f"{'-'.join(path)}{option}")
+        for path, option in [
+            (("orbit", "enum"), "--cap"),
+            (("nonf-demo",), "--count"),
+            (("measure", "invariance"), "--depth"),
+            (("converge", "trace"), "--depth"),
+            (("converge", "classify"), "--depth"),
+            (("nonf-demo",), "--depth"),
+            (("flow", "limit"), "--depth"),
+            (("shift", "info"), "--horizon"),
+            (("shift", "check"), "--horizon"),
+            (("flow", "classr"), "--horizon"),
+            (("metric", "rho"), "--prec"),
+            (("flow", "limit"), "--prec"),
+        ]
+    ])
+    def test_loop_caps_below_one_are_config_errors(self, tmp_path, capsys, path, option, value):
         code, out = run_cli(tmp_path, *path, *CONTRACT_BASE[path], option, value)
         assert code == EXIT_CONFIG
-        assert message in capsys.readouterr().err
+        assert f"{option[2:]} must be >= 1" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("path", [

@@ -17,6 +17,7 @@ from cmshift.shifts import full_shift
 from cmshift.suspension import (
     RoofFunction, _limit_table_integral, birkhoff_sum, log1p_roof, roof_integral, tail_log1p,
 )
+from conftest import oracle_eval_interval, oracle_log_of
 
 
 def coprime_merge_oracle(pairs) -> dict[int, Fraction]:
@@ -244,6 +245,14 @@ class TestLogLinear:
         y = LogLinear.log_of(b)
         assert ((x + y) - y) == x
         assert (x - x).is_zero
+
+    def test_float_saturates_beyond_float_range(self):
+        big = Fraction(10**400)
+        assert float(LogLinear.from_rational(big)) == math.inf
+        assert float(LogLinear.from_rational(-big)) == -math.inf
+        assert float(LogLinear.log_of(3) * big) == math.inf
+        assert float(LogLinear.log_of(Fraction(1, 3)) * big + 1) == -math.inf
+        assert float(LogLinear.log_of(3) + Fraction(1, big)) == math.log(3)
 
     def test_division_by_rational(self):
         half = LogLinear.log_of(4) / 2
@@ -568,3 +577,60 @@ class TestRationalEnclosures:
             assert x._compare(y) == (x - y).sign()
             assert y._compare(x) == (y - x).sign()
             _assert_order_agrees(x, r)
+
+
+wide_coefficients = st.builds(
+    Fraction, st.integers(-10**8, 10**8).filter(bool), st.integers(1, 10**5)
+)
+
+
+@st.composite
+def log_linears(draw):
+    """Sums of rational multiples of logs, with a rational part; the
+    coefficients reach past 2**26, so each term's `cbits` varies."""
+    terms = draw(st.lists(st.tuples(bases, wide_coefficients), max_size=6))
+    q = draw(st.builds(Fraction, st.integers(-10**12, 10**12), st.integers(1, 10**6)))
+    return fold_sum([(c, LogLinear.log_of(b)) for b, c in terms]) + q
+
+
+class TestIntegerKernels:
+    """`eval_interval` and `log_of` against their former Fraction forms."""
+
+    @given(x=log_linears(), prec=st.integers(-1, 300))
+    @example(x=LogLinear.zero(), prec=-1)
+    @example(x=LogLinear.from_rational(Fraction(-7, 3)), prec=0)
+    @example(x=LogLinear.log_of(Fraction(2**40, 3)) * Fraction(-5, 7), prec=300)
+    @settings(max_examples=300, deadline=None)
+    def test_eval_interval_matches_fraction_loop(self, x, prec):
+        assert x.eval_interval(prec) == oracle_eval_interval(x, prec)
+
+    @given(x=log_linears(), prec=st.integers(-40, -2))
+    @example(x=LogLinear.zero(), prec=-2)
+    @settings(max_examples=50, deadline=None)
+    def test_eval_interval_rejects_prec_below_minus_one(self, x, prec):
+        with pytest.raises(ValueError) as want:
+            oracle_eval_interval(x, prec)
+        with pytest.raises(ValueError) as got:
+            x.eval_interval(prec)
+        assert str(got.value) == str(want.value)
+
+    @given(r=st.one_of(
+        st.integers(1, 10**30),
+        st.builds(Fraction, st.integers(1, 10**20), st.integers(1, 10**20)),
+        st.floats(min_value=5e-324, allow_infinity=False),
+        st.just(True),
+    ))
+    @example(r=1)
+    @example(r=Fraction(1, 2))
+    @example(r=Fraction(3, 2))
+    @example(r=0.1)
+    @settings(max_examples=200, deadline=None)
+    def test_log_of_matches_fraction_path(self, r):
+        got, want = LogLinear.log_of(r), oracle_log_of(r)
+        assert (got.rational, got.logs) == (want.rational, want.logs)
+        assert all(type(c) is Fraction for _, c in got.logs)
+
+    @pytest.mark.parametrize("r", [0, -1, -10**30, Fraction(-1, 3), Fraction(0), 0.0, -0.5, False])
+    def test_log_of_rejects_nonpositive(self, r):
+        with pytest.raises(ValueError, match="log of a nonpositive value"):
+            LogLinear.log_of(r)

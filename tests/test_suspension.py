@@ -211,6 +211,21 @@ class TestClassR:
         assert report.tail_verdict == "vacuous-finite-alphabet"
         assert report.passed
 
+    @pytest.mark.parametrize("horizon", [0, -1])
+    def test_horizon_below_one_is_rejected(self, horizon):
+        with pytest.raises(ValueError, match="horizon must be >= 1"):
+            class_R_check(log1p_roof(), horizon)
+
+    @pytest.mark.parametrize("table", [{}, {(0,): Fraction(2)}])
+    def test_empty_pools_are_inconclusive_at_any_horizon(self, table):
+        # no tail rule and no table word with a first symbol >= 1
+        roof = RoofFunction("empty", 1, table, None, Fraction(1), Fraction(0))
+        for horizon in (1, 16):
+            report = class_R_check(roof, horizon)
+            assert report.m_rows == ()
+            assert report.tail_verdict == "inconclusive"
+            assert report == quadratic_class_R_oracle(roof, horizon, None)
+
     def test_floor_violations_reported(self):
         roof = RoofFunction(
             name="bad",
