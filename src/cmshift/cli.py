@@ -143,6 +143,13 @@ def _key_text(key) -> str:
     return encode_basestring_ascii(key)
 
 
+def _int_texts(values) -> Iterator[str]:
+    """`map(int.__repr__, values)`, with one `repr` per distinct value: a
+    long orbit repeats few symbols."""
+    text = {v: int.__repr__(v) for v in set(values)}
+    return map(text.__getitem__, values)
+
+
 def _json_text(o, newline: str = "\n") -> str:
     """`json.dumps(o, indent=2, sort_keys=True)`, byte for byte.
 
@@ -168,7 +175,7 @@ def _json_text(o, newline: str = "\n") -> str:
         if not o:
             return "[]"
         if set(map(type, o)) == {int}:
-            items = map(int.__repr__, o)
+            items = _int_texts(o)
         else:
             items = [_json_text(v, inner) for v in o]
         return "[" + inner + ("," + inner).join(items) + newline + "]"
@@ -577,9 +584,7 @@ def cmd_densusp(args) -> int:
         return EXIT_EXHAUSTED
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "densusp_orbit.txt").write_text(
-        " ".join(map(str, result.word)) + "\n"
-    )
+    (out / "densusp_orbit.txt").write_text(" ".join(_int_texts(result.word)) + "\n")
     _write_report(args, "densusp", {"result": result.to_jsonable()})
     print(
         f"orbit of period {result.measure.period}: metric upper bound "

@@ -139,7 +139,8 @@ class RoofFunction:
     `floor` is the claimed positive lower bound c; it is supplied, not
     inferred, and `class_R_check` validates it on everything it can see.
     Table values must be positive; values in (0, c) are accepted, and
-    `class_R_check` reports them.
+    `class_R_check` reports them.  Table words are words of symbols >= 1,
+    and a roof without a table needs a tail rule.
     """
 
     name: str
@@ -157,9 +158,13 @@ class RoofFunction:
             "table",
             {tuple(w): _as_value(v) for w, v in dict(self.table).items()},
         )
+        if not self.table and self.tail is None:
+            raise ValueError("the roof has neither a table nor a tail rule")
         for w, v in self.table.items():
             if len(w) != self.depth:
                 raise ValueError(f"table word {w} does not have depth {self.depth}")
+            if min(w) < 1:
+                raise ValueError(f"table word {w} has a symbol below 1")
             if v <= _ZERO:
                 raise ValueError("roof values must be positive")
         if _as_value(self.floor).sign() <= 0:
@@ -334,8 +339,8 @@ def class_R_check(
     grows, so one running minimum from the top symbol down, which keeps
     the earlier pool position on ties, gives every m(k) in
     O(horizon + |table|) comparisons, and m never decreases.
-    The pools are empty, and the verdict inconclusive, only for a roof
-    with no tail rule and no table word whose first symbol is >= 1.
+    A roof has a table word, whose symbols are >= 1, or a tail rule
+    (`RoofFunction`), so the pool of 1 is never empty.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
@@ -372,8 +377,6 @@ def class_R_check(
     finite_alphabet = spec is not None and spec.alphabet_size is not None
     if finite_alphabet:
         tail_verdict = "vacuous-finite-alphabet"
-    elif not m_vals:
-        tail_verdict = "inconclusive"
     elif m_vals[-1] == m_vals[0]:
         tail_verdict = "fails-constant-at-horizon"
     else:

@@ -356,7 +356,16 @@ def oracle_c0_conditions_check(f, spec, horizon):
 
 # ---------------------------------------------------------------------------
 # the former Fraction loops of `LogLinear.eval_interval` and
-# `LogLinear.log_of`, kept as oracles for the integer forms
+# `LogLinear.log_of`, kept as oracles for the integer forms, with the
+# directed dyadic roundings they use
+
+
+def dyadic_floor(x: Fraction, bits: int) -> Fraction:
+    return Fraction((x.numerator << bits) // x.denominator, 1 << bits)
+
+
+def dyadic_ceil(x: Fraction, bits: int) -> Fraction:
+    return Fraction(-((-x.numerator << bits) // x.denominator), 1 << bits)
 
 
 def oracle_eval_interval(x, prec: int):
@@ -367,7 +376,7 @@ def oracle_eval_interval(x, prec: int):
         iv = _int_log_interval(b, prec + pad + cbits).scale(c)
         lo += iv.lo
         hi += iv.hi
-    return Interval(lo, hi).rounded(prec + 1)
+    return Interval(dyadic_floor(lo, prec + 1), dyadic_ceil(hi, prec + 1))
 
 
 def oracle_log_of(r):

@@ -166,7 +166,7 @@ def test_acceptance_06_kac_round_trip_and_flow_mass():
     lifted = kac_lift(convex_combination([(1, fixed_point_measure(full, 1))]), roof)
     iv = flow_cylinder_mass(lifted, (1,), prec=50)
     assert iv.width <= Fraction(1, 10**10)
-    assert iv.contains(1)
+    assert iv.lo <= 1 <= iv.hi
     print("\nACCEPTANCE 6 PASS: 50 exact Kac round-trips; flow mass of [1] = 1 within 1e-10")
 
 

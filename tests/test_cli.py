@@ -10,7 +10,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cmshift import cli, suspension
@@ -582,6 +582,11 @@ class TestReportText:
     """The report encoder against stdlib `json` with the report layout."""
 
     @given(value=json_values)
+    # a long int list repeating few values, as a densusp cycle does, and
+    # ints mixed with the bools that compare and hash equal to them
+    @example(value={"cycle": [3, 1, 4, 1, 5, 9, 2, 6, -5, 10**30] * 2000, "period": 20000})
+    @example(value=[1, True, 0, False, 1, 1])
+    @example(value=[[True, 1], [1, 1], [False], [0]])
     @settings(max_examples=400, deadline=None)
     def test_walker_matches_stdlib(self, value):
         assert cli._json_text(value) == json.dumps(value, indent=2, sort_keys=True)
@@ -701,6 +706,20 @@ class TestExitCodeContract:
         code, out = run_cli(tmp_path, *path, *CONTRACT_BASE[path], "--roof-file", str(roof))
         assert code == EXIT_CONFIG
         assert "roof values must be positive" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text, message", [
+        ("table 0 : 3\ntail none\nc 1\n", "symbol below 1"),
+        ("depth 2\ntable 1 -2 : 3\ntail log1p\nc 1\n", "symbol below 1"),
+        ("tail none\nc 1\n", "neither a table nor a tail rule"),
+    ], ids=["symbol-0", "negative-symbol", "empty-roof"])
+    def test_impossible_roof_file_is_config_error(self, tmp_path, capsys, text, message):
+        # (0,) is no cylinder of any shift, and an empty roof has no value
+        roof = tmp_path / "roof.txt"
+        roof.write_text(text)
+        code, out = run_cli(tmp_path, "flow", "classr", "--roof-file", str(roof))
+        assert code == EXIT_CONFIG
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
 

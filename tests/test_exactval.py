@@ -17,7 +17,7 @@ from cmshift.shifts import full_shift
 from cmshift.suspension import (
     RoofFunction, _limit_table_integral, birkhoff_sum, log1p_roof, roof_integral, tail_log1p,
 )
-from conftest import oracle_eval_interval, oracle_log_of
+from conftest import dyadic_ceil, dyadic_floor, oracle_eval_interval, oracle_log_of
 
 
 def coprime_merge_oracle(pairs) -> dict[int, Fraction]:
@@ -74,7 +74,7 @@ def oracle_fold(pairs) -> LogLinear:
 def fraction_log_in_1_2(u: Fraction, prec: int) -> Interval:
     """The atanh series of `exactval._log_in_1_2` evaluated in `Fraction`s,
     with the same directed roundings; its endpoints must be identical."""
-    floor, ceil = exactval._dyadic_floor, exactval._dyadic_ceil
+    floor, ceil = dyadic_floor, dyadic_ceil
     if u == 1:
         return Interval(Fraction(0), Fraction(0))
     bits = prec + 10
@@ -341,6 +341,37 @@ def fold_pairs(draw):
     return pairs
 
 
+@st.composite
+def long_fold_pairs(draw):
+    """0-80 (weight, value) pairs, enough for several blocks of
+    `fold_sum`: weights of 0 and of new denominators anywhere, so that
+    `den` changes inside a block, and pairs repeated negated at a later
+    position, often in a later block, so that sums cancel across block
+    boundaries."""
+    values = st.builds(
+        lambda q, raw: LogLinear(q, oracle_normal_form(raw)),
+        st.one_of(st.just(Fraction(0)), small_rationals),
+        st.lists(st.tuples(bases, coefficients), max_size=4),
+    )
+    pairs = draw(st.lists(st.tuples(fold_weights, values), max_size=60))
+    for _ in range(draw(st.integers(0, 80 - len(pairs))) if pairs else 0):
+        i = draw(st.integers(0, len(pairs) - 1))
+        w, v = pairs[i]
+        pairs.insert(draw(st.integers(i + 1, len(pairs))), (-w, v))
+    return pairs
+
+
+def block_edge_pairs(n: int):
+    """n pairs over often-shared bases: a zero weight at every fifth pair,
+    denominators that change inside each block, and a last pair that
+    cancels the first, across a block boundary once n > 16."""
+    pairs = [
+        (Fraction(k % 5 - 2, k % 4 + 1), LogLinear.log_of(Fraction(6 * k + 4, k + 1)) + k % 3)
+        for k in range(n - 1)
+    ]
+    return pairs + [(-pairs[0][0], pairs[0][1])]
+
+
 def _assert_normal_form(logs):
     keys = [b for b, _ in logs]
     assert keys == sorted(keys)
@@ -418,6 +449,27 @@ class TestMergeKernel:
         got, want = fold_sum(pairs), oracle_fold(pairs)
         assert (got.rational, got.logs) == (want.rational, want.logs)
         _assert_normal_form(got.logs)
+
+    @given(pairs=long_fold_pairs())
+    @example(pairs=block_edge_pairs(15))
+    @example(pairs=block_edge_pairs(16))
+    @example(pairs=block_edge_pairs(17))
+    @example(pairs=block_edge_pairs(49))
+    @settings(max_examples=150, deadline=None)
+    def test_long_fold_sum_matches_oracle_left_fold(self, pairs):
+        # folds of several blocks: bases set aside at a block's start must
+        # come back unchanged, and cancel or split in a later block
+        got, want = fold_sum(pairs), oracle_fold(pairs)
+        assert (got.rational, got.logs) == (want.rational, want.logs)
+        _assert_normal_form(got.logs)
+
+    def test_log1p_birkhoff_fold_of_1000_windows(self, full):
+        # log 2 + log 3 + ... + log 1001: most adds split accumulated bases
+        pairs = [(1, LogLinear.log_of(s + 1)) for s in range(1, 1001)]
+        got = birkhoff_sum(log1p_roof(), periodic_orbit(full, tuple(range(1, 1001))))
+        want = oracle_fold(pairs)
+        assert (got.rational, got.logs) == (want.rational, want.logs)
+        assert got == LogLinear.log_of(math.factorial(1001))
 
     @given(
         cycles=st.lists(
