@@ -5,7 +5,9 @@ finitely many terms, so every report here is certified only up to its
 parameters (depth, symbol cap, number of terms, tolerance) and carries
 them.  Limit tables hold the values at the last sampled index; the
 per-cylinder oscillation over the trailing window is the evidence for
-(or against) stabilization.
+(or against) stabilization.  Traces are read as integer numerators over
+each term's common denominator, so oscillations and the tolerance test
+are exact integer comparisons over the window's common denominator.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from .measures import (
     convex_combination,
     integrate_test_function,
     measure_from_cycle,
-    support_table,
+    support_numerators,
 )
 from .shifts import (
     SearchCaps,
@@ -195,24 +197,43 @@ def _window(indices: Sequence[int], size: int | None) -> Sequence[int]:
     return indices[-k:]
 
 
-def _oscillation(sparse: dict[int, Fraction], window: Sequence[int]) -> Fraction:
-    """max - min of a sparse trace over a window of trailing indices.
+def _window_oscillations(
+    words: Iterable[Word],
+    samples: dict[Word, list[tuple[int, int]]],
+    dens: Iterable[int],
+    size: int,
+    tol: Fraction,
+) -> tuple[dict[Word, Fraction], bool]:
+    """Oscillation of each word over a window of `size` samples, and
+    whether any exceeds `tol`.
 
-    `sparse` maps sample indices, inserted in ascending order, to values;
-    a missing index reads 0.  `window` is a contiguous run of indices that
-    ends at the last sample.  Only the entries inside the window are
-    read, plus one 0 when some window index has no entry, so the result
-    is the dense max - min over the same multiset of values.
+    `samples[word]` lists the word's stored window samples as (k, L),
+    mass k / L with L among `dens`; a word with fewer than `size` samples
+    reads 0 at the others.  With Lw = lcm(dens), the oscillation is
+    d / Lw for d = max - min of k * (Lw // L), plus 0 when a sample is
+    missing, and d / Lw > tol = a / b exactly when d * b > a * Lw.  A
+    word with no window sample gets 0 without a scan, and only a nonzero
+    d becomes a new `Fraction`.
     """
-    first = window[0]
-    vals = []
-    for n in reversed(sparse):
-        if n < first:
-            break
-        vals.append(sparse[n])
-    if len(vals) < len(window):
-        vals.append(Fraction(0))
-    return max(vals) - min(vals)
+    Lw = math.lcm(*dens)
+    scale = {L: Lw // L for L in dens}
+    zero = Fraction(0)
+    b, bound = tol.denominator, tol.numerator * Lw
+    undetermined = False
+    oscillations: dict[Word, Fraction] = {}
+    for word in words:
+        pairs = samples.get(word)
+        if pairs is None:
+            oscillations[word] = zero
+            continue
+        ks = [k * scale[L] for k, L in pairs]
+        d = max(ks) - (min(ks) if len(ks) == size else 0)  # masses are >= 0
+        if d:
+            oscillations[word] = Fraction(d, Lw)
+            undetermined = undetermined or d * b > bound
+        else:
+            oscillations[word] = zero
+    return oscillations, undetermined
 
 
 def cylinder_limit(
@@ -230,10 +251,12 @@ def cylinder_limit(
     cylinder oscillates by more than `tol` over the trailing window
     (the last quarter of the samples unless `window` overrides it).
 
-    Only the sparse traces are kept: each term's support table goes
-    straight into them, and each oscillation reads only the entries of
-    its trace inside the window (`_oscillation`), so the cost follows
-    the nonzero trace entries, not words x window.
+    Everything runs on integers.  Term n's support comes as numerators
+    k over its common denominator L_n (`support_numerators`), and the
+    sparse traces hold one shared `Fraction` per distinct (k, L_n).  The
+    oscillations and the tol test are exact integer comparisons over the
+    lcm of the window's L_n (`_window_oscillations`).  So the cost
+    follows the nonzero trace entries, not words x window.
     """
     tol = Fraction(tol)
     if tol <= 0:
@@ -243,24 +266,35 @@ def cylinder_limit(
     if depth < 1:
         raise ValueError("depth must be >= 1")
     indices = tuple(range(1, n_max + 1))
-    traces: dict[Word, dict[int, Fraction]] = {}
-    for n in indices:
-        final = support_table(seq.term(n), depth, symbol_cap)
-        for word, value in final.items():
-            traces.setdefault(word, {})[n] = value
-
     window_idx = _window(indices, window)
-    oscillations = {
-        word: _oscillation(sparse, window_idx) for word, sparse in traces.items()
-    }
+    first = window_idx[0]
+    traces: dict[Word, dict[int, Fraction]] = {}
+    values: dict[int, dict[int, Fraction]] = {}  # L -> k -> the Fraction k / L
+    samples: dict[Word, list[tuple[int, int]]] = {}  # window (k, L) per word
+    window_dens: set[int] = set()
+    for n in indices:
+        nums, L = support_numerators(seq.term(n), depth, symbol_cap)
+        shared = values.setdefault(L, {})
+        in_window = n >= first
+        if in_window:
+            window_dens.add(L)
+        for word, k in nums.items():
+            value = shared.get(k)
+            if value is None:
+                value = shared[k] = Fraction(k, L)
+            traces.setdefault(word, {})[n] = value
+            if in_window:
+                samples.setdefault(word, []).append((k, L))
+
+    oscillations, undetermined = _window_oscillations(
+        traces, samples, window_dens, len(window_idx), tol
+    )
 
     table = CylinderFunction(
-        {w: v for w, v in final.items() if v != 0},
+        {w: shared[k] for w, k in nums.items() if k},
         {d: symbol_cap for d in range(1, depth + 1)},
     )
-    mass_lo = sum(
-        (v for w, v in final.items() if len(w) == 1), Fraction(0)
-    )
+    mass_lo = Fraction(sum(k for w, k in nums.items() if len(w) == 1), L)
     mass_bracket = (mass_lo, Fraction(1))
     params = {
         "depth": depth,
@@ -270,7 +304,7 @@ def cylinder_limit(
         "window": len(window_idx),
         "description": seq.description,
     }
-    if any(osc > tol for osc in oscillations.values()):
+    if undetermined:
         classification = Classification("undetermined")
     else:
         classification = _classify_table(table, depth, symbol_cap, tol, mass_lo)
@@ -292,17 +326,20 @@ def _classify_table(
     tol: Fraction,
     mass_lo: Fraction | None = None,
 ) -> Classification:
-    """Trichotomy on a represented table: defective / probability / sub."""
+    """Trichotomy on a represented table: defective / probability / sub.
+
+    A parent word's defect is its value minus the sum over its children
+    in the table; the children are summed by `w[:-1]` in one pass.
+    """
     sites = []
     if depth >= 2:
-        parents = {w for w in table.entries if len(w) < depth}
-        for word in sorted(parents):
-            total = table.value(word)
-            children = sum(
-                (v for w, v in table.entries.items() if w[:-1] == word),
-                Fraction(0),
-            )
-            defect = total - children
+        children: dict[Word, Fraction] = {}
+        for w, v in table.entries.items():
+            if len(w) > 1:
+                parent = w[:-1]
+                children[parent] = children.get(parent, 0) + v
+        for word in sorted(w for w in table.entries if len(w) < depth):
+            defect = table.entries[word] - children.get(word, 0)
             if defect > tol:
                 sites.append((word, defect))
     if sites:

@@ -51,6 +51,7 @@ __all__ = [
     "convex_combination",
     "measure_of_cylinder",
     "combo_of_cylinder",
+    "support_numerators",
     "support_table",
     "invariance_check",
     "canonical_cylinders",
@@ -279,15 +280,21 @@ class ConvexCombination:
 def convex_combination(
     pairs: Iterable[tuple[Rational, PeriodicMeasure]]
 ) -> ConvexCombination:
+    """Validated on integers: each weight p/q has 0 < p <= q, and the
+    running sum num/den (den the lcm of the q so far) ends with num <= den."""
     terms = []
+    num, den = 0, 1
     for w, mu in pairs:
-        w = Fraction(w)
-        if not 0 < w <= 1:
+        if type(w) is not Fraction:
+            w = Fraction(w)
+        p, q = w.numerator, w.denominator
+        if not 0 < p <= q:
             raise ValueError(f"weight {w} outside (0, 1]")
         terms.append((w, mu))
-    total = sum((w for w, _ in terms), Fraction(0))
-    if total > 1:
-        raise ValueError(f"weights sum to {total} > 1")
+        g = math.gcd(den, q)
+        num, den = num * (q // g) + p * (den // g), den // g * q
+    if num > den:
+        raise ValueError(f"weights sum to {Fraction(num, den)} > 1")
     return ConvexCombination(tuple(terms))
 
 
@@ -361,18 +368,27 @@ def combo_of_cylinder(nu: ConvexCombination, word: Iterable[int]) -> Fraction:
     return _one_mass(nu, word)
 
 
-def support_table(
+def support_numerators(
     nu: ConvexCombination, depth: int, symbol_cap: int
-) -> dict[Word, Fraction]:
+) -> tuple[dict[Word, int], int]:
     """All cylinders of length <= depth and symbols <= symbol_cap with
-    nonzero mass, in sorted word order.
+    nonzero mass, in sorted word order, each with its integer numerator
+    k over the combination's common denominator L (mass k / L).
 
     Read off the orbits directly: the windows of `_window_numerators` up
     to `depth` are every such word, so no word is searched for.
     """
     nums, L = _window_numerators(nu, range(1, depth + 1))
     words = sorted(w for w in nums if max(w) <= symbol_cap)
-    return {w: Fraction(nums[w], L) for w in words}
+    return {w: nums[w] for w in words}, L
+
+
+def support_table(
+    nu: ConvexCombination, depth: int, symbol_cap: int
+) -> dict[Word, Fraction]:
+    """`support_numerators` as exact masses, in sorted word order."""
+    nums, L = support_numerators(nu, depth, symbol_cap)
+    return {w: Fraction(k, L) for w, k in nums.items()}
 
 
 # ---------------------------------------------------------------------------

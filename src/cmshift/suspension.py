@@ -240,9 +240,13 @@ def parse_roof_text(text: str, name: str = "user-roof") -> RoofFunction:
             table[word] = _parse_value(value_s)
         elif key == "tail":
             parts = rest.split()
+            if not parts:
+                raise ValueError(f"tail line {raw.strip()!r} names no rule")
             if parts[0] == "log1p":
                 tail = tail_log1p()
             elif parts[0] == "const":
+                if len(parts) < 2:
+                    raise ValueError(f"tail line {raw.strip()!r} gives const no value")
                 tail = tail_constant(Fraction(parts[1]))
             elif parts[0] == "none":
                 tail = None

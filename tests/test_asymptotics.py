@@ -7,11 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cmshift.asymptotics import (
+    Classification,
     EscapeSearchError,
     NotEnoughLoopsError,
     SequenceGenerationError,
-    _oscillation,
+    _classify_table,
     _window,
+    _window_oscillations,
     classify_limit,
     composite_sequence,
     cylinder_limit,
@@ -25,6 +27,7 @@ from cmshift.asymptotics import (
     weak_star_trace,
 )
 from cmshift.measures import (
+    CylinderFunction,
     additivity_defect,
     combo_of_cylinder,
     convex_combination,
@@ -33,7 +36,13 @@ from cmshift.measures import (
     measure_from_cycle,
     support_table,
 )
-from cmshift.shifts import SearchCaps, enumerate_loops, finite_full_shift, is_admissible
+from cmshift.shifts import (
+    SearchCaps,
+    enumerate_loops,
+    finite_full_shift,
+    full_shift,
+    is_admissible,
+)
 from conftest import KERNEL_SHIFTS, oracle_first_return_loops, oracle_successors
 
 
@@ -140,21 +149,201 @@ def dense_cylinder_limit(seq, depth, symbol_cap, n_max, window=None):
     return samples[n_max], traces, dense_oscillations(traces, window_idx)
 
 
+def quadratic_classify_table(table, depth, K, tol, mass_lo=None):
+    """Oracle: the former `_classify_table`, which scans every table
+    entry for the children of each parent word."""
+    sites = []
+    if depth >= 2:
+        parents = {w for w in table.entries if len(w) < depth}
+        for word in sorted(parents):
+            total = table.value(word)
+            children = sum(
+                (v for w, v in table.entries.items() if w[:-1] == word),
+                Fraction(0),
+            )
+            defect = total - children
+            if defect > tol:
+                sites.append((word, defect))
+    if sites:
+        return Classification("defective", defect_sites=tuple(sites))
+    if mass_lo is None:
+        mass_lo = sum((v for w, v in table.entries.items() if len(w) == 1), Fraction(0))
+    if mass_lo >= 1 - tol:
+        return Classification("probability", mass=mass_lo)
+    return Classification("subprobability", mass=mass_lo)
+
+
+def dense_classification(final, oscillations, depth, symbol_cap, tol):
+    """Oracle: the verdict of the former `cylinder_limit` on the dense
+    oracle's final table and oscillations."""
+    if any(osc > tol for osc in oscillations.values()):
+        return Classification("undetermined")
+    table = CylinderFunction(
+        {w: v for w, v in final.items() if v}, {d: symbol_cap for d in range(1, depth + 1)}
+    )
+    mass_lo = sum((v for w, v in final.items() if len(w) == 1), Fraction(0))
+    return quadratic_classify_table(table, depth, symbol_cap, tol, mass_lo)
+
+
+cycles = st.lists(st.integers(min_value=1, max_value=6), min_size=1, max_size=7).map(tuple)
+
+
+@st.composite
+def mixed_terms(draw):
+    """Weights r / total with a total of its own per term, so the common
+    denominator L of the terms (weight denominators times periods)
+    changes from term to term; sometimes the zero measure."""
+    parts = draw(st.lists(st.tuples(st.integers(1, 5), cycles), max_size=3))
+    total = sum(r for r, _ in parts) + draw(st.integers(0, 4))
+    full = full_shift()
+    return convex_combination(
+        [(Fraction(r, total), measure_from_cycle(full, c)) for r, c in parts]
+    )
+
+
+def assert_matches_dense(seq, depth, cap, n_max, tol, window):
+    report = cylinder_limit(seq, depth, cap, n_max, tol, window)
+    final, traces, oscillations = dense_cylinder_limit(seq, depth, cap, n_max, window)
+    assert list(report.traces.items()) == list(traces.items())
+    assert list(report.oscillations.items()) == list(oscillations.items())
+    assert all(type(v) is Fraction for v in report.oscillations.values())
+    assert all(type(v) is Fraction for t in report.traces.values() for v in t.values())
+    assert report.limit_table.entries == {w: v for w, v in final.items() if v}
+    mass_lo = sum((v for w, v in final.items() if len(w) == 1), Fraction(0))
+    assert report.mass_bracket == (mass_lo, 1)
+    assert report.classification == dense_classification(final, oscillations, depth, cap, tol)
+    assert report.params["window"] == len(_window(range(1, n_max + 1), window))
+    return report
+
+
+class TestIntegerKernel:
+    """`cylinder_limit` on integer numerators against the dense oracle."""
+
+    @given(
+        terms=st.lists(mixed_terms(), min_size=1, max_size=12),
+        depth=st.integers(min_value=1, max_value=3),
+        cap=st.integers(min_value=1, max_value=7),
+        window=st.sampled_from(["none", "one", "n_max", "beyond"]),
+        tol=st.fractions(min_value=0, max_value=1, max_denominator=60).filter(bool),
+    )
+    @settings(max_examples=150, deadline=None)
+    @pytest.mark.filterwarnings("ignore:cycle .* is a power of")
+    def test_matches_dense_oracle(self, terms, depth, cap, window, tol):
+        n_max = len(terms)
+        size = {"none": None, "one": 1, "n_max": n_max, "beyond": n_max + 3}[window]
+        seq = sequence_from_measures(terms, "mixed")
+        report = assert_matches_dense(seq, depth, cap, n_max, tol, size)
+        top = max(report.oscillations.values(), default=0)
+        if top:
+            # the tol test is strict: tol equal to the largest oscillation passes
+            at = cylinder_limit(seq, depth, cap, n_max, top, size)
+            below = cylinder_limit(seq, depth, cap, n_max, top * (1 - Fraction(1, 10**9)), size)
+            assert at.classification.kind != "undetermined"
+            assert below.classification.kind == "undetermined"
+
+    def test_tol_at_and_below_the_largest_oscillation(self, full):
+        # (1, n) spikes to 1/2 at term n - 1 and is 0 elsewhere in the window
+        seq = pair_loop_sequence(full, a=1, start=2)
+        report = cylinder_limit(seq, 2, 50, 40, Fraction(1, 2))
+        assert max(report.oscillations.values()) == Fraction(1, 2)
+        assert report.classification.kind == "probability"  # defect 1/2 is not > tol
+        below = cylinder_limit(seq, 2, 50, 40, Fraction(1, 2) - Fraction(1, 10**30))
+        assert below.classification.kind == "undetermined"
+
+    @pytest.mark.parametrize("window", [200, 250])
+    def test_window_over_periods_one_to_two_hundred(self, full, window):
+        # term n: weight n / (n + 1) on a period-n orbit, so L_n = n (n + 1)
+        # and the window over all 200 terms has Lw = lcm(2..201)
+        terms = [
+            convex_combination(
+                [(Fraction(n, n + 1), measure_from_cycle(full, (1,) * (n - 1) + (2,)))]
+            )
+            for n in range(1, 201)
+        ]
+        seq = sequence_from_measures(terms, "periods 1..200")
+        report = assert_matches_dense(seq, 2, 2, 200, Fraction(1, 1000), window)
+        assert report.classification.kind == "undetermined"
+        # [1] has mass (n - 1) / (n + 1), [2] has 1 / (n + 1)
+        assert report.oscillations[(1,)] == Fraction(199, 201)
+        assert report.oscillations[(2,)] == Fraction(1, 2) - Fraction(1, 201)
+        top = max(report.oscillations.values())
+        assert cylinder_limit(seq, 2, 2, 200, top, window).classification.kind != "undetermined"
+
+
+class TestClassifyTable:
+    @given(
+        entries=st.dictionaries(
+            st.lists(st.integers(min_value=1, max_value=4), min_size=1, max_size=4).map(tuple),
+            st.fractions(min_value=0, max_value=1, max_denominator=12),
+            max_size=40,
+        ),
+        depth=st.integers(min_value=1, max_value=4),
+        tol=st.fractions(min_value=0, max_value=1, max_denominator=12).filter(bool),
+        with_mass=st.booleans(),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_matches_quadratic_oracle_on_random_tables(self, entries, depth, tol, with_mass):
+        # words up to length 4 at any depth: parents without children,
+        # children without parents, and entries past the depth
+        table = CylinderFunction(entries, {d: 4 for d in range(1, depth + 1)})
+        mass_lo = Fraction(1, 3) if with_mass else None
+        assert _classify_table(table, depth, 4, tol, mass_lo) == quadratic_classify_table(
+            table, depth, 4, tol, mass_lo
+        )
+
+    @pytest.mark.filterwarnings("ignore:cycle .* is a power of")
+    def test_matches_quadratic_oracle_on_support_tables(self, full):
+        rng = random.Random(17)
+        for _ in range(60):
+            depth, cap = rng.randint(1, 4), rng.randint(1, 8)
+            nu = convex_combination(
+                (Fraction(1, 3), measure_from_cycle(full, tuple(rng.randint(1, 8) for _ in range(rng.randint(1, 9)))))
+                for _ in range(rng.randint(0, 3))
+            )
+            table = CylinderFunction.from_combo(nu, depth, cap)
+            tol = Fraction(1, rng.choice([2, 10, 1000]))
+            assert _classify_table(table, depth, cap, tol) == quadratic_classify_table(
+                table, depth, cap, tol
+            )
+
+    def test_long_cycle_table(self, full):
+        rng = random.Random(600)
+        cycle = tuple(rng.randint(1, 400) for _ in range(600))
+        nu = convex_combination([(1, measure_from_cycle(full, cycle))])
+        table = CylinderFunction.from_combo(nu, 3, 390)  # the cap leaves defects
+        assert len(table.entries) > 1000
+        tol = Fraction(1, 1000)
+        got = _classify_table(table, 3, 390, tol)
+        assert got.kind == "defective"
+        assert got == quadratic_classify_table(table, 3, 390, tol)
+
+
 class TestSparseOscillations:
     def test_random_sparse_traces(self):
+        # each index n has its own denominator L_n, so Lw changes with
+        # the window; values are drawn as numerators over L_n
         rng = random.Random(5)
         for _ in range(300):
             n_max = rng.randint(1, 40)
             window_idx = _window(tuple(range(1, n_max + 1)), rng.choice([None, 1, 2, 7, 50]))
-            traces = {}
+            dens = {n: rng.choice([1, 2, 3, 6, 7, 10, 12, 35]) for n in range(1, n_max + 1)}
+            traces, samples = {}, {}
             for word in range(rng.randint(1, 6)):
                 keep = sorted(rng.sample(range(1, n_max + 1), rng.randint(0, n_max)))
-                traces[(word + 1,)] = {
-                    n: Fraction(rng.randint(0, 9), rng.randint(1, 9)) for n in keep
-                }
-            sparse = {w: _oscillation(t, window_idx) for w, t in traces.items()}
-            assert sparse == dense_oscillations(traces, window_idx)
+                pairs = [(rng.randint(1, dens[n]), dens[n]) for n in keep]
+                traces[(word + 1,)] = {n: Fraction(k, L) for n, (k, L) in zip(keep, pairs)}
+                window_pairs = [p for n, p in zip(keep, pairs) if n >= window_idx[0]]
+                if window_pairs:
+                    samples[(word + 1,)] = window_pairs
+            tol = Fraction(rng.randint(1, 9), rng.randint(1, 9))
+            window_dens = {dens[n] for n in window_idx}
+            sparse, undetermined = _window_oscillations(
+                traces, samples, window_dens, len(window_idx), tol
+            )
+            dense = dense_oscillations(traces, window_idx)
+            assert list(sparse.items()) == list(dense.items())
             assert all(type(v) is Fraction for v in sparse.values())
+            assert undetermined == any(osc > tol for osc in dense.values())
 
     @pytest.mark.parametrize("window", [None, 1, 5, 500])
     def test_cylinder_limit_matches_dense(self, full, window):

@@ -712,7 +712,9 @@ class TestExitCodeContract:
         ("table 0 : 3\ntail none\nc 1\n", "symbol below 1"),
         ("depth 2\ntable 1 -2 : 3\ntail log1p\nc 1\n", "symbol below 1"),
         ("tail none\nc 1\n", "neither a table nor a tail rule"),
-    ], ids=["symbol-0", "negative-symbol", "empty-roof"])
+        ("tail\nc 1\n", "tail"),
+        ("table 1 : 3\ntail const\nc 1\n", "tail"),
+    ], ids=["symbol-0", "negative-symbol", "empty-roof", "tail-alone", "tail-const-no-value"])
     def test_impossible_roof_file_is_config_error(self, tmp_path, capsys, text, message):
         # (0,) is no cylinder of any shift, and an empty roof has no value
         roof = tmp_path / "roof.txt"

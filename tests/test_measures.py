@@ -37,6 +37,7 @@ from cmshift.measures import (
     metric_d,
     parse_combo_text,
     periodic_orbit,
+    support_numerators,
     support_table,
 )
 from cmshift.shifts import ShiftSpec, is_admissible, load_shift_text, parse_shift_arg
@@ -184,6 +185,31 @@ class TestConvexCombinations:
                     (Fraction(3, 4), fixed_point_measure(full, 2)),
                 ]
             )
+
+    def test_weight_bounds_are_inclusive_at_one(self, full):
+        one = convex_combination([(1, fixed_point_measure(full, 1))])
+        assert one.terms[0][0] == 1 and type(one.terms[0][0]) is Fraction
+        exact = convex_combination(
+            [(Fraction(1, 3), fixed_point_measure(full, 1)),
+             (Fraction(1, 6), fixed_point_measure(full, 2)),
+             (Fraction(1, 2), fixed_point_measure(full, 3))]
+        )
+        assert exact.mass == 1
+
+    @pytest.mark.parametrize("weights, message", [
+        ((0,), "weight 0 outside (0, 1]"),
+        ((Fraction(-1, 2),), "weight -1/2 outside (0, 1]"),
+        ((Fraction(5, 4),), "weight 5/4 outside (0, 1]"),
+        ((Fraction(3, 4), Fraction(3, 4)), "weights sum to 3/2 > 1"),
+        ((Fraction(1, 3), Fraction(1, 6), Fraction(1, 2) + Fraction(1, 10**30)),
+         f"weights sum to {1 + Fraction(1, 10**30)} > 1"),
+        ((Fraction(1, 2), 2, Fraction(9, 10)), "weight 2 outside (0, 1]"),
+    ])
+    def test_weight_errors_name_the_value(self, full, weights, message):
+        pairs = [(w, fixed_point_measure(full, i + 1)) for i, w in enumerate(weights)]
+        with pytest.raises(ValueError) as err:
+            convex_combination(pairs)
+        assert str(err.value) == message
 
     def test_support_table_complete(self, full):
         nu = convex_combination([(1, measure_from_cycle(full, (1, 5)))])
@@ -608,6 +634,9 @@ class TestWindowCountDifferential:
             table = support_table(nu, depth, cap)
             oracle = per_word_support_table(nu, depth, cap)
             assert list(table.items()) == list(oracle.items())
+            nums, L = support_numerators(nu, depth, cap)
+            assert list(nums) == list(oracle)
+            assert all(type(k) is int and Fraction(k, L) == oracle[w] for w, k in nums.items())
             cap = max(cap, max(nu.orbit_symbols, default=cap))
             report = invariance_check(nu, depth, cap)
             assert (report.max_defect, report.defects, report.words_checked) == (

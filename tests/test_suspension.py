@@ -1021,6 +1021,11 @@ class TestRoofParsing:
         with pytest.raises(ValueError):
             parse_roof_text("depth 1\ntail log1p\n")
 
+    @pytest.mark.parametrize("tail", ["tail", "tail   ", "tail const", "tail const  # no value"])
+    def test_tail_line_without_rule_or_value_rejected(self, tail):
+        with pytest.raises(ValueError, match="tail"):
+            parse_roof_text(f"{tail}\nc 1\n")
+
 
 def per_cylinder_flow_mass(nu, word, prec):
     """Oracle: the former `flow_cylinder_mass`, with a direct scan for the
