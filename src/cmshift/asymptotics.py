@@ -603,33 +603,74 @@ class EntropyReport:
 def gurevich_entropy_estimate(
     spec: ShiftSpec, a: int, n_values: Iterable[int], symbol_cap: int
 ) -> EntropyReport:
-    """Exact loop counts via dynamic programming over reachable symbols.
+    """Exact loop counts via dynamic programming over reachable symbols
+    (B. M. Gurevich, "Topological entropy of enumerable Markov chains",
+    Soviet Math. Dokl. 10, 1969).
 
     Counts are big integers (no overflow); the estimate column is the
     display value log(count)/n.  A truncation flag is set whenever a row
     enumeration hit the symbol cap, making counts lower bounds.
+
+    Each state's row is read once per call, and equal rows are pooled
+    under one index.  The DP carries, per distinct row, the number of
+    words whose last symbol has that row, and a step adds each distinct
+    row once: on a shift whose rows repeat (every row of `full`, every
+    row but one of `star`) a step then costs the distinct rows' length,
+    not the states times the cap.  The walk starts from the one-symbol
+    row (a,), and the loops of length n are the words of n symbols
+    whose last symbol goes back to `a`: per distinct row, how many of
+    its symbols do so is counted once, asking `is_allowed(j, a)` once
+    per state j.  Memory beyond the two per-state memos is the distinct
+    rows.
     """
     wanted = sorted(set(int(n) for n in n_values))
     if not wanted or wanted[0] < 1:
         raise ValueError("n values must be positive")
     top = wanted[-1]
     tails: list[bool | None] = []  # one continuation per row read
+    pool: dict[tuple[int, ...], int] = {}  # distinct row -> its index
+    distinct: list[tuple[int, ...]] = []  # the distinct rows, by index
+    row_of: dict[int, int] = {}  # state -> index of its row
+    returns: dict[int, bool] = {}  # state -> allowed(state, a)
+    closing: dict[int, int] = {}  # row index -> its symbols that go back to a
+
+    def index_of(row: tuple[int, ...]) -> int:
+        r = pool.get(row)
+        if r is None:
+            r = pool[row] = len(distinct)
+            distinct.append(row)
+        return r
+
+    def returns_to_a(j: int) -> bool:
+        back = returns.get(j)
+        if back is None:
+            back = returns[j] = spec.is_allowed(j, a)
+        return back
+
+    # row index -> number of words of `step - 1` symbols whose last
+    # symbol has that row; the words of `step` symbols end in its symbols
+    pooled = {index_of((a,)): 1}
     counts: dict[int, int] = {}
-    vec: dict[int, int] = {a: 1}
     for step in range(1, top + 1):
         # loops of length `step`: words of that length from a with an
         # allowed transition back to a
         if step in wanted:
-            counts[step] = sum(
-                c for s, c in vec.items() if spec.is_allowed(s, a)
-            )
+            total = 0
+            for r, c in pooled.items():
+                if r not in closing:
+                    closing[r] = sum(map(returns_to_a, distinct[r]))
+                total += c * closing[r]
+            counts[step] = total
         if step == top:
             break
         nxt: dict[int, int] = {}
-        for s, c in vec.items():
-            for j in successor_iter(spec, s, symbol_cap, tails):
-                nxt[j] = nxt.get(j, 0) + c
-        vec = nxt
+        for r, c in pooled.items():
+            for j in distinct[r]:
+                q = row_of.get(j)
+                if q is None:
+                    q = row_of[j] = index_of(tuple(successor_iter(spec, j, symbol_cap, tails)))
+                nxt[q] = nxt.get(q, 0) + c
+        pooled = nxt
     truncated = any(t is not False for t in tails)
     rows = tuple(
         EntropyRow(

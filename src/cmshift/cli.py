@@ -122,6 +122,13 @@ def _at_least_one(args, *names: str) -> None:
             raise ValueError(f"{name} must be >= 1")
 
 
+def _symbols_positive(args) -> None:
+    """Reject a symbol option (`--a`, `--b`, `--i`) below 1: no symbol
+    lies there, so no word through it is admissible."""
+    if any(getattr(args, name, 1) < 1 for name in ("a", "b", "i")):
+        raise ValueError("symbols must be positive")
+
+
 def _float_text(x: float) -> str:
     if x != x:
         return "NaN"
@@ -784,6 +791,7 @@ def main(argv: list[str] | None = None) -> int:
             return EXIT_CONFIG
     args = parser.parse_args(argv)
     try:
+        _symbols_positive(args)
         return args.func(args)
     except (ValueError, argparse.ArgumentTypeError, SequenceGenerationError) as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)

@@ -30,7 +30,6 @@ from .shifts import (
     ShiftSpec,
     Word,
     is_admissible,
-    successor_iter,
     successors,
 )
 
@@ -460,44 +459,6 @@ def invariance_check(
 # canonical cylinder enumeration and the metric d
 
 
-def _words_of(spec: ShiftSpec, total: int, length: int) -> Iterator[Word]:
-    """Admissible words of `length` symbols summing to `total`, in
-    lexicographic order, by DFS along successor rows.
-
-    Every position still to fill needs at least 1 of the remaining sum,
-    so with r positions left the next symbol is at most rem - (r - 1),
-    and the row of the last placed symbol is read only up to there.  The
-    final symbol is the remainder itself and costs one oracle call.
-    """
-    top = spec.alphabet_size
-    if length == 1:
-        if top is None or total <= top:
-            yield (total,)
-        return
-    first = total - length + 1
-    if top is not None:
-        first = min(first, top)
-    word: list[int] = []
-    rem = total
-    rows = [iter(range(1, first + 1))]  # rows[i] proposes word[i]
-    while rows:
-        x = next(rows[-1], None)
-        if x is None:
-            rows.pop()
-            if word:
-                rem += word.pop()
-            continue
-        rem -= x
-        after = length - len(word) - 1  # positions left after x
-        if after == 1:
-            if spec.is_allowed(x, rem):
-                yield (*word, x, rem)
-            rem += x
-        else:
-            word.append(x)
-            rows.append(successor_iter(spec, x, rem - (after - 1)))
-
-
 def canonical_cylinder_iter(spec: ShiftSpec) -> Iterator[Word]:
     """Admissible cylinders in canonical order.
 
@@ -505,19 +466,29 @@ def canonical_cylinder_iter(spec: ShiftSpec) -> Iterator[Word]:
     lexicographic.  This is a bijective enumeration of the admissible
     cylinders, fixed once so that metric values are reproducible.
 
-    Words are generated, not filtered: each (sum, length) class is a DFS
-    along successor rows pruned by the remaining sum (`_words_of`), so
-    the cost follows the words yielded and the rows read rather than the
-    2^(sum-1) compositions of each sum.  Admissibility is prefix-closed
-    and symbols are positive, so a word of length r > 1 extends a word
-    of smaller sum; lengths beyond the longest word yet yielded plus one
-    are skipped.  With a finite alphabet A a word of length r has sum at
+    Words are built by extension, not filtered: dropping the first
+    symbol of an admissible word leaves an admissible word, so a word
+    (x, y, ...) of sum t and length r > 1 is x in front of a stored
+    word (y, ...) of class (t - x, r - 1).  Each stored class keeps its
+    words grouped by first symbol, and a group is taken when
+    `is_allowed(x, y)`: one oracle call per (x, y) group, and no row is
+    read.  Taking x ascending, then the groups by y ascending, then each
+    group in stored order gives lexicographic order.  Each group is
+    yielded as soon as it is built, so a consumer that stops builds
+    nothing past the class in progress, and the work follows the words
+    yielded.  Lengths beyond the longest word yet yielded plus one are
+    skipped.  With a finite alphabet A a word of length r has sum at
     most A*r, so lengths below ceil(sum / A) are skipped too.  When that
     leaves no length at all the language is finite (no word is longer
     than the longest yielded, and all of those have smaller sums), and
     the iterator ends.  Otherwise it is infinite.
+
+    The shift is only ever reached through `spec`, so that a weak proxy
+    passed in (as `canonical_cylinders` does) stays the only reference.
     """
     top = spec.alphabet_size
+    # (sum, length) -> (words in canonical order, [(first symbol, start, stop)])
+    classes: dict[tuple[int, int], tuple[list[Word], list[tuple[int, int, int]]]] = {}
     longest = 0
     total = 0
     while True:
@@ -526,9 +497,35 @@ def canonical_cylinder_iter(spec: ShiftSpec) -> Iterator[Word]:
         if shortest > longest + 1:
             return
         for length in range(shortest, longest + 2):
-            for word in _words_of(spec, total, length):
-                longest = max(longest, length)
-                yield word
+            words: list[Word] = []
+            groups: list[tuple[int, int, int]] = []
+            if length == 1:
+                # shortest is 1 only while total <= top
+                words.append((total,))
+                groups.append((total, 0, 1))
+                longest = max(longest, 1)
+                yield words[0]
+            else:
+                last = total - length + 1
+                if top is not None:
+                    last = min(last, top)
+                for x in range(1, last + 1):
+                    below = classes.get((total - x, length - 1))
+                    if below is None:
+                        continue
+                    suffixes, suffix_groups = below
+                    head = (x,)
+                    start = len(words)
+                    for y, lo, hi in suffix_groups:
+                        if spec.is_allowed(x, y):
+                            group = [head + w for w in suffixes[lo:hi]]
+                            words.extend(group)
+                            yield from group
+                    if len(words) > start:
+                        groups.append((x, start, len(words)))
+                        longest = max(longest, length)
+            if words:
+                classes[total, length] = words, groups
 
 
 class _Prefix:

@@ -108,12 +108,15 @@ def successor_iter(
     the row's continuation appended to it: True or False when certain
     that the row goes on past `cap`, None when the oracle cannot tell
     (no hint, and the alphabet is not known to end at or below `cap`).
-    A consumer that stops early gets no answer.
+    A consumer that stops early gets no answer.  No symbol lies below 1,
+    so the row of such an `i` is empty and ends (the hint is not read).
     """
     if cap < 1:
         raise ValueError("cap must be >= 1")
     hint = spec.successors_hint
-    if hint is None:
+    if i < 1:
+        more = False
+    elif hint is None:
         for j in range(1, cap + 1):
             if spec.is_allowed(i, j):
                 yield j
@@ -200,6 +203,13 @@ def _loop_words(
     lazily up to `symbol_cap`, so a consumer that stops after k words
     reads no row further than those words need.  Each row read to its
     end appends its continuation to `tail` (see `successor_iter`).
+
+    A failure memo keeps the search in proportion to its output: once
+    the subtree below symbol s with r positions left is exhausted with
+    no word yielded, (s, r) is recorded and never entered again, since
+    the same rows and the same `last` give the same empty subtree.  Its
+    rows were read to their end that first time, so `tail` already
+    holds their continuations.
     """
     if n == 1:
         if last(a):
@@ -207,17 +217,25 @@ def _loop_words(
         return
     prefix = [a]
     rows = [successor_iter(spec, a, symbol_cap, tail)]  # rows[k] proposes x_{k+2}
+    marks = [0]  # words yielded before each row was entered
+    failed: set[tuple[int, int]] = set()  # (symbol, positions left after it)
+    found = 0
     while rows:
+        left = n - len(prefix) - 1  # positions left after the proposed symbol
         for j in rows[-1]:
-            if len(rows) + 1 == n:
+            if left == 0:
                 if last(j):
+                    found += 1
                     yield (*prefix, j)
-            else:
+            elif (j, left) not in failed:
                 prefix.append(j)
                 rows.append(successor_iter(spec, j, symbol_cap, tail))
+                marks.append(found)
                 break
         else:
             rows.pop()
+            if marks.pop() == found:
+                failed.add((prefix[-1], n - len(prefix)))
             prefix.pop()
 
 

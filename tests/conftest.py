@@ -126,8 +126,9 @@ KERNEL_SHIFTS = {
 
 
 # ---------------------------------------------------------------------------
-# the former row readers, loop searches and C0 check, kept as oracles for
-# the lazy row kernel `successor_iter` and the one loop-word DFS
+# the former row readers, loop searches, canonical enumeration and C0
+# check, kept as oracles for the lazy row kernel `successor_iter`, the
+# memoised loop-word DFS and the canonical enumeration by extension
 
 
 def oracle_successors(spec: ShiftSpec, i: int, cap: int) -> tuple[list[int], bool]:
@@ -236,6 +237,90 @@ def oracle_f_property_probe(spec, i, n, cap, symbol_cap):
         if not advanced:
             stack.pop()
     return ProbeResult(count, True, certified, cap, symbol_cap)
+
+
+def oracle_words_of(spec, total, length):
+    """The former class search: admissible words of `length` symbols
+    summing to `total`, lexicographically, by DFS along successor rows
+    pruned by the remaining sum."""
+    top = spec.alphabet_size
+    if length == 1:
+        if top is None or total <= top:
+            yield (total,)
+        return
+    first = total - length + 1
+    if top is not None:
+        first = min(first, top)
+    word = []
+    rem = total
+    rows = [iter(range(1, first + 1))]  # rows[i] proposes word[i]
+    while rows:
+        x = next(rows[-1], None)
+        if x is None:
+            rows.pop()
+            if word:
+                rem += word.pop()
+            continue
+        rem -= x
+        after = length - len(word) - 1  # positions left after x
+        if after == 1:
+            if spec.is_allowed(x, rem):
+                yield (*word, x, rem)
+            rem += x
+        else:
+            word.append(x)
+            rows.append(successor_iter(spec, x, rem - (after - 1)))
+
+
+def oracle_canonical_cylinder_iter(spec):
+    """The former canonical enumeration: one DFS per (sum, length)
+    class, with the same length bounds and finite-language stop."""
+    top = spec.alphabet_size
+    longest = 0
+    total = 0
+    while True:
+        total += 1
+        shortest = 1 if top is None else -(-total // top)
+        if shortest > longest + 1:
+            return
+        for length in range(shortest, longest + 2):
+            for word in oracle_words_of(spec, total, length):
+                longest = max(longest, length)
+                yield word
+
+
+def oracle_loop_words(spec, a, n, symbol_cap, last, tail=None):
+    """The former lazy loop-word DFS, without the failure memo: every
+    subtree is walked again wherever it recurs."""
+    if n == 1:
+        if last(a):
+            yield (a,)
+        return
+    prefix = [a]
+    rows = [successor_iter(spec, a, symbol_cap, tail)]
+    while rows:
+        for j in rows[-1]:
+            if len(rows) + 1 == n:
+                if last(j):
+                    yield (*prefix, j)
+            else:
+                prefix.append(j)
+                rows.append(successor_iter(spec, j, symbol_cap, tail))
+                break
+        else:
+            rows.pop()
+            prefix.pop()
+
+
+def counted(spec):
+    """`spec` with a hint that counts the rows it starts, per symbol."""
+    reads = {}
+
+    def hint(i):
+        reads[i] = reads.get(i, 0) + 1
+        return spec.successors_hint(i)
+
+    return ShiftSpec(spec.name, spec.allowed, hint, alphabet_size=spec.alphabet_size), reads
 
 
 def oracle_first_return_loops(spec, i, q, count, symbol_cap):

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -38,12 +39,16 @@ from cmshift.measures import (
 )
 from cmshift.shifts import (
     SearchCaps,
+    ShiftSpec,
     enumerate_loops,
     finite_full_shift,
     full_shift,
     is_admissible,
+    loop_family_shift,
+    parse_shift_arg,
+    successor_iter,
 )
-from conftest import KERNEL_SHIFTS, oracle_first_return_loops, oracle_successors
+from conftest import KERNEL_SHIFTS, counted, oracle_first_return_loops, oracle_successors
 
 
 def _outcome(fn, *args):
@@ -548,6 +553,74 @@ class TestGurevichEntropy:
         report = gurevich_entropy_estimate(renewal, 1, range(2, 13), 200)
         assert report.rows[-1].loop_count == 2**11
         assert abs(report.rows[-1].estimate - math.log(2) * 11 / 12) < 1e-12
+
+    @pytest.mark.parametrize("name, a, top, caps", [
+        ("renewal", 1, 40, (1, 2, 5, 17, 39, 40, 41, 60)),
+        ("renewal", 3, 25, (2, 4, 30)),
+        ("full", 1, 4, (1, 3, 50, 200)),
+        ("full", 2, 3, (7, 200)),
+        ("star", 1, 8, (1, 2, 60, 200)),
+        ("star", 5, 7, (4, 200)),
+        ("loop_family:linear", 1, 12, (3, 20, 100)),
+        ("loop_family:quadratic-exponential", 1, 4, (5, 40, 200)),
+    ])
+    def test_pooled_dp_matches_the_former_dp(self, name, a, top, caps):
+        spec = parse_shift_arg(name)
+        for symbol_cap in caps:
+            report = gurevich_entropy_estimate(spec, a, range(1, top + 1), symbol_cap)
+            counts, truncated = oracle_entropy_dp(spec, a, top, symbol_cap)
+            assert [r.loop_count for r in report.rows] == counts
+            assert report.truncated == truncated
+
+    def test_loop_family_from_a_table(self):
+        spec = loop_family_shift({1: 1, 2: 3, 4: 2, 5: 1})
+        for symbol_cap in (2, 5, 9, 30):
+            report = gurevich_entropy_estimate(spec, 1, range(1, 16), symbol_cap)
+            counts, truncated = oracle_entropy_dp(spec, 1, 15, symbol_cap)
+            assert [r.loop_count for r in report.rows] == counts
+            assert report.truncated == truncated
+
+    @pytest.mark.parametrize("name", ["renewal", "star", "full", "loop_family:linear"])
+    def test_each_row_is_read_once(self, name):
+        base = parse_shift_arg(name)
+        spec, reads = counted(base)
+        report = gurevich_entropy_estimate(spec, 1, range(1, 9), 30)
+        assert set(reads.values()) == {1}
+        # exactly the states reached before the last step
+        reached, vec = {1}, {1}
+        for _ in range(6):
+            vec = {j for s in vec for j in successor_iter(base, s, 30)}
+            reached |= vec
+        assert reads.keys() == reached
+        assert report.rows[-1].loop_count == oracle_entropy_dp(base, 1, 8, 30)[0][-1]
+
+    @pytest.mark.parametrize("name", ["full", "star", "renewal", "loop_family:linear"])
+    def test_return_to_a_is_asked_once_per_state(self, name):
+        base = parse_shift_arg(name)
+        asked = []
+
+        def allowed(i, j):
+            if j == 1:
+                asked.append(i)
+            return base.allowed(i, j)
+
+        spec = ShiftSpec(name, allowed, base.successors_hint, alphabet_size=base.alphabet_size)
+        report = gurevich_entropy_estimate(spec, 1, range(1, 31), 30)
+        assert len(asked) == len(set(asked))
+        counts, _ = oracle_entropy_dp(base, 1, 30, 30)
+        assert [r.loop_count for r in report.rows] == counts
+
+    def test_large_cap_memory_stays_in_the_distinct_rows(self):
+        # one distinct row of 1 000 symbols, not one per state
+        tracemalloc.start()
+        try:
+            report = gurevich_entropy_estimate(full_shift(), 1, range(1, 5), 1000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [r.loop_count for r in report.rows] == [1, 1000, 1000**2, 1000**3]
+        assert report.truncated
+        assert peak < 2 * 2**20
 
 
 class TestWeakStarTraces:

@@ -276,11 +276,14 @@ class TestDriver:
         assert not out.exists()
 
     @pytest.mark.parametrize("verb", ["trace", "classify"])
-    @pytest.mark.parametrize("i", ["0", "-1"])
-    def test_inadmissible_sequence_term_is_config_error(self, tmp_path, capsys, verb, i):
-        # the first pair-loop term (i, 2) has a symbol below 1
+    @pytest.mark.parametrize("rows", ["1: 1\n", "1: 1\n2: 2\n"])
+    def test_inadmissible_sequence_term_is_config_error(self, tmp_path, capsys, verb, rows):
+        # the first pair-loop term (1, 2) is no cycle of these shifts
+        shift = tmp_path / "s.txt"
+        shift.write_text(rows)
         code, _ = run_cli(
-            tmp_path, "converge", verb, "--seq", "pair-loops", "--i", i, "--n-max", "4",
+            tmp_path, "converge", verb, "--shift-file", str(shift),
+            "--seq", "pair-loops", "--n-max", "4",
         )
         assert code == EXIT_CONFIG
         assert "sequence generator failed at index 1" in capsys.readouterr().err
@@ -693,6 +696,22 @@ class TestExitCodeContract:
         code, out = run_cli(tmp_path, *path, *CONTRACT_BASE[path], option, value)
         assert code == EXIT_CONFIG
         assert f"{option[2:]} must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    @pytest.mark.parametrize("path, option", [
+        pytest.param(path, option, id=f"{'-'.join(path)}{option}")
+        for path, parser in _leaf_parsers(cli.build_parser())
+        for option in ("--a", "--b", "--i")
+        if any(option in a.option_strings for a in parser._actions)
+    ])
+    def test_symbols_below_one_are_config_errors(self, tmp_path, capsys, path, option, value):
+        # `orbit connect --shift full --a 0 --b 5` exited 0 certifying
+        # the inadmissible word (0, 5), and `entropy --shift renewal
+        # --a 0` exited 2 blaming the hint of row 0
+        code, out = run_cli(tmp_path, *path, *CONTRACT_BASE[path], option, value)
+        assert code == EXIT_CONFIG
+        assert "symbols must be positive" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("path", [

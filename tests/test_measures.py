@@ -48,6 +48,7 @@ from conftest import (
     naive_cyclic_mass,
     random_combo,
     oracle_c0_conditions_check,
+    oracle_canonical_cylinder_iter,
     random_cycle,
 )
 
@@ -602,6 +603,45 @@ class TestEnumerationDifferential:
         spec = load_shift_text(text + ("default full\n" if default_full else ""))
         assert dfs_up_to_sum(spec, 10) == list(generate_and_filter(spec, 10))
 
+    def test_every_prefix_matches_the_former_dfs(self, gallery_shift):
+        # classes are built as they are consumed, so a prefix of every
+        # length, also one that stops inside a class, keeps the order
+        oracle = list(itertools.islice(oracle_canonical_cylinder_iter(gallery_shift), 300))
+        for k in range(len(oracle) + 1):
+            prefix = itertools.islice(canonical_cylinder_iter(gallery_shift), k)
+            assert list(prefix) == oracle[:k]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        rows=st.dictionaries(
+            st.integers(1, 6), st.sets(st.integers(1, 6), max_size=6), min_size=1
+        ),
+        default_full=st.booleans(),
+        k=st.integers(0, 400),
+    )
+    def test_random_row_list_prefixes_match_the_former_dfs(self, rows, default_full, k):
+        text = "".join(f"{i}: {' '.join(map(str, sorted(r)))}\n" for i, r in rows.items())
+        spec = load_shift_text(text + ("default full\n" if default_full else ""))
+        assert list(itertools.islice(canonical_cylinder_iter(spec), k)) == list(
+            itertools.islice(oracle_canonical_cylinder_iter(spec), k)
+        )
+
+    @pytest.mark.parametrize("name", ["full", "star", "renewal", "finite_full:3"])
+    @pytest.mark.parametrize("k", [1, 2, 7, 40, 333])
+    def test_a_prefix_builds_nothing_past_its_class(self, name, k):
+        # an oracle call (x, y) in class (t, r) has x + y <= t, so no
+        # call may pass the sum of the last word taken
+        base = parse_shift_arg(name)
+        asked = []
+
+        def allowed(i, j):
+            asked.append(i + j)
+            return base.allowed(i, j)
+
+        spec = ShiftSpec(name, allowed, base.successors_hint, alphabet_size=base.alphabet_size)
+        words = list(itertools.islice(canonical_cylinder_iter(spec), k))
+        assert max(asked, default=0) <= sum(words[-1])
+
     def test_finite_languages_end_exactly(self):
         # a DAG on five symbols: every word is a path, the heaviest
         # 1-3-4-5 with sum 13
@@ -785,8 +825,11 @@ class TestCanonicalPrefix:
         assert canonical_cylinders(full, 7) == fresh_canonical(full, 7)
 
     def test_spec_is_collectable_after_del(self):
+        # after several classes are built and stored, so that anything
+        # the enumeration keeps would hold the spec
         spec = parse_shift_arg("renewal")
-        assert len(canonical_cylinders(spec, 50)) == 50
+        words = canonical_cylinders(spec, 400)
+        assert len(words) == 400 and len({(sum(w), len(w)) for w in words}) > 30
         ref = weakref.ref(spec)
         del spec
         gc.collect()

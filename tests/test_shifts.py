@@ -8,6 +8,7 @@ from cmshift.asymptotics import EscapeSearchError, escape_sequence
 from cmshift.shifts import (
     SearchCaps,
     ShiftSpec,
+    _loop_words,
     check_shift,
     connect,
     enumerate_loops,
@@ -23,8 +24,10 @@ from cmshift.shifts import (
 )
 from conftest import (
     KERNEL_SHIFTS,
+    counted,
     oracle_enumerate_loops,
     oracle_f_property_probe,
+    oracle_loop_words,
     oracle_row_continues_beyond,
     oracle_successor_iter,
     oracle_successors,
@@ -108,6 +111,25 @@ class TestSuccessors:
             small, _ = successors(spec, i, 10)
             large, _ = successors(spec, i, 40)
             assert large[: len(small)] == small
+
+    @pytest.mark.parametrize("name", sorted(KERNEL_SHIFTS))
+    @pytest.mark.parametrize("i", [0, -1, -3])
+    def test_a_non_symbol_has_the_empty_row(self, name, i):
+        # no symbol lies below 1, so its row is empty and surely ends,
+        # whatever the hint would say (star's and renewal's name the
+        # row of 1 for every i != 1)
+        spec = KERNEL_SHIFTS[name]
+        assert successors(spec, i, 50) == ([], False)
+        tail = []
+        assert list(successor_iter(spec, i, 50, tail)) == [] and tail == [False]
+
+    @pytest.mark.parametrize("name", ["full", "star", "renewal"])
+    def test_non_symbols_connect_to_nothing(self, name):
+        spec = parse_shift_arg(name)
+        assert connect(spec, 0, 5, 8, 100) is None
+        assert connect(spec, -3, 1, 8, 100) is None
+        assert connect(spec, 1, 0, 8, 100) is None
+        assert enumerate_loops(spec, 0, 3, 10, 20) == ([], False)
 
     @given(i=st.integers(min_value=1, max_value=30), cap=st.integers(min_value=1, max_value=60))
     @settings(max_examples=40, deadline=None)
@@ -403,3 +425,85 @@ class TestRowKernelDifferential:
             # have not reported, so only the rows read through can
             # withdraw the certificate
             assert new.certified >= old.certified
+
+
+# sparse row lists on a few symbols: the loop DFS meets the same
+# (symbol, positions left) subtree many times, so its failure memo fires
+ROW_LISTS = st.dictionaries(
+    st.integers(1, 5), st.sets(st.integers(1, 5), max_size=3), min_size=1
+).map(lambda rows: load_shift_text(
+    "".join(f"{i}: {' '.join(map(str, sorted(r)))}\n" for i, r in rows.items())
+))
+MEMO_SHIFTS = st.one_of(
+    st.sampled_from([make_builtin("renewal"), make_builtin("star")]), ROW_LISTS
+)
+
+
+class TestLoopMemoDifferential:
+    @given(
+        spec=MEMO_SHIFTS,
+        a=st.integers(min_value=1, max_value=4),
+        n=st.integers(min_value=1, max_value=10),
+        cap=st.integers(min_value=1, max_value=300),
+        symbol_cap=st.integers(min_value=1, max_value=60),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_loops_match_the_former_dfs(self, spec, a, n, cap, symbol_cap):
+        assert enumerate_loops(spec, a, n, cap, symbol_cap) == oracle_enumerate_loops(
+            spec, a, n, cap, symbol_cap
+        )
+
+    @given(
+        spec=MEMO_SHIFTS,
+        i=st.integers(min_value=1, max_value=4),
+        n=st.integers(min_value=2, max_value=10),
+        cap=st.integers(min_value=1, max_value=300),
+        symbol_cap=st.integers(min_value=1, max_value=60),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_probe_matches_the_former_dfs(self, spec, i, n, cap, symbol_cap):
+        new = f_property_probe(spec, i, n, cap, symbol_cap)
+        old = oracle_f_property_probe(spec, i, n, cap, symbol_cap)
+        assert (new.count, new.exhausted, new.is_finite) == (
+            old.count, old.exhausted, old.is_finite
+        )
+        if new.exhausted:
+            assert new == old
+        # against the lazy DFS without the memo, also `certified` after
+        # an early stop: a subtree skipped by the memo was read through
+        tail = []
+        words = oracle_loop_words(spec, i, n, symbol_cap, lambda x: x == i, tail)
+        count = sum(1 for _ in itertools.islice(words, cap))
+        assert new.certified == all(t is False for t in tail)
+        assert new.count == count
+
+    @given(
+        spec=MEMO_SHIFTS,
+        a=st.integers(min_value=1, max_value=4),
+        n=st.integers(min_value=1, max_value=10),
+        symbol_cap=st.integers(min_value=1, max_value=60),
+        stop=st.integers(min_value=0, max_value=50),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_every_prefix_reads_no_more_rows(self, spec, a, n, symbol_cap, stop):
+        # a consumer that stops after `stop` words sees the former words
+        # and starts no row the former search did not start
+        def last(x):
+            return spec.is_allowed(x, a)
+
+        new_spec, new_reads = counted(spec)
+        old_spec, old_reads = counted(spec)
+        new = list(itertools.islice(_loop_words(new_spec, a, n, symbol_cap, last), stop))
+        old = list(itertools.islice(oracle_loop_words(old_spec, a, n, symbol_cap, last), stop))
+        assert new == old
+        assert sum(new_reads.values()) <= sum(old_reads.values())
+        assert new_reads.keys() <= old_reads.keys()
+
+
+class TestSearchCosts:
+    def test_renewal_loops_read_few_rows(self):
+        # 256 loops; without the memo the search read 7 501 rows
+        spec, reads = counted(make_builtin("renewal"))
+        loops, saturated = enumerate_loops(spec, 1, 9, 400, 60)
+        assert len(loops) == 256 and not saturated
+        assert sum(reads.values()) <= 1000
