@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
 
+from .exactval import fraction_str
 from .measures import (
     ConvexCombination,
     CylinderFunction,
@@ -169,9 +170,9 @@ class Classification:
     def to_jsonable(self) -> dict:
         return {
             "kind": self.kind,
-            "mass": None if self.mass is None else str(self.mass),
+            "mass": None if self.mass is None else fraction_str(self.mass),
             "defect_sites": [
-                {"word": list(w), "defect": str(d)} for w, d in self.defect_sites
+                {"word": list(w), "defect": fraction_str(d)} for w, d in self.defect_sites
             ],
         }
 
@@ -388,8 +389,8 @@ class EscapeResult:
     def to_jsonable(self) -> dict:
         return {
             "cycle": list(self.measure.orbit.cycle),
-            "low_mass": str(self.low_mass),
-            "bound": str(self.bound),
+            "low_mass": fraction_str(self.low_mass),
+            "bound": fraction_str(self.bound),
             "connector_len": self.connector_len,
             "k": self.k,
             "target_len": self.target_len,

@@ -329,6 +329,8 @@ def cmd_measure_eval(args) -> int:
     spec = _load_shift(args)
     combo = parse_combo_text(spec, args.combo)
     word = tuple(int(t) for t in args.cylinder.split(","))
+    if min(word) < 1:
+        raise ValueError("symbols must be positive")
     value = combo_of_cylinder(combo, word)
     _write_report(
         args,
@@ -353,10 +355,10 @@ def cmd_measure_invariance(args) -> int:
         args,
         "measure_invariance",
         {
-            "max_defect": str(report.max_defect),
+            "max_defect": fraction_str(report.max_defect),
             "words_checked": report.words_checked,
             "nonzero_defects": [
-                {"word": list(w), "defect": str(d)} for w, d in report.defects
+                {"word": list(w), "defect": fraction_str(d)} for w, d in report.defects
             ],
         },
     )
@@ -438,7 +440,7 @@ def cmd_converge_trace(args) -> int:
         {
             "classification": report.classification.to_jsonable(),
             "limit_table": report.limit_table.to_jsonable(),
-            "mass_lower": str(report.mass_bracket[0]),
+            "mass_lower": fraction_str(report.mass_bracket[0]),
         },
     )
     print(f"trace written; report classification: {report.classification.kind}")

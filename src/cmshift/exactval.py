@@ -24,16 +24,22 @@ gcds when n' and k' of them do (see `_merge`).
 
 `fold_sum(pairs)` is the one-shot form of the same fold: it returns
 `((0 + w1 * v1) + w2 * v2) + ...` with exactly the normal form that
-fold gives.  It keeps the running sum as integer numerators over one
-common denominator, with no `Fraction` work until the normal form is
-built once, at the end.  It takes its adds in blocks of 16: one C-level
-gcd pass per block, of the accumulated bases against the product of the
-block's bases, sets aside every base that no add of the block can touch,
-and each add then scans only the few bases that are left.  A long fold
-so costs about one gcd per accumulated base per block, not per add.
-This is one level of the product/remainder filtering of D. J. Bernstein,
-"Factoring into coprimes in essentially linear time", J. Algorithms 54
-(2005).
+fold gives.  A fold of one pair is the scaling `w1 * v1`, since v1's
+bases are already coprime and sorted; `*` works on integer numerators
+and builds one `Fraction` per distinct coefficient.  A longer fold keeps
+the running sum as integer numerators over one common denominator, with
+no `Fraction` work until the normal form is built once, at the end.  It
+takes its adds in blocks of 16: one C-level gcd pass per block, of the
+accumulated bases against the product of the block's bases, sets aside
+every base that no add of the block can touch, and each add then scans
+only the few bases that are left.  A long fold so costs about one gcd
+per accumulated base per block, not per add.  This is one level of the
+product/remainder filtering of D. J. Bernstein, "Factoring into coprimes
+in essentially linear time", J. Algorithms 54 (2005).  An add of one
+log term, as every window of a log1p Birkhoff sum is, takes its base as
+the product of the gcd pass, and when that base is a product of powers
+of the bases it hits, it only raises their coefficients, with the
+split's own result (see `_add_powers`).
 
 Numeric enclosures are directed rational intervals: `eval_interval(p)`
 returns a bracket of width at most 2**-p whose endpoints are dyadic
@@ -66,13 +72,22 @@ _ONE = Fraction(1)
 _MINUS_ONE = Fraction(-1)
 
 
+# an integer of at most this many bits has at most 603 digits, below 640,
+# the lowest int-to-str digit limit Python accepts
+_STR_SAFE_BITS = 2000
+
+
 def fraction_str(q: Rational) -> str:
     """`str(Fraction(q))`, also for integers past the int-to-str digit
     limit: `decimal` converts integers of any size exactly, and the
-    process-wide limit is left alone."""
-    q = Fraction(q)
-    num = str(Decimal(q.numerator))
-    return num if q.denominator == 1 else f"{num}/{Decimal(q.denominator)}"
+    process-wide limit is left alone.  Integers too short to reach any
+    limit take `str` itself."""
+    if not isinstance(q, (int, Fraction)):
+        q = Fraction(q)
+    n, d = q.numerator, q.denominator
+    if n.bit_length() > _STR_SAFE_BITS or d.bit_length() > _STR_SAFE_BITS:
+        n, d = Decimal(n), Decimal(d)
+    return str(n) if d == 1 else f"{n}/{d}"
 
 
 def _display_float(q: Fraction) -> float:
@@ -326,50 +341,89 @@ def _split(bases: dict, work: list) -> None:
       is pending.
 
     A base inserted by an input term carries its list's bit (1 for left,
-    2 for right), a base inserted by a piece carries 0.  A work item
-    carries the mask of bits it may skip and scans `views[mask]`, the
-    bases whose bit is not in the mask.  For n' and k' hit terms this
-    costs O(n' * k') gcds and O(n' + k') per base a piece inserted.
+    2 for right), a base inserted by a piece carries 0; `ins` maps each
+    base the loop inserted to its bit, in insertion order.  A work item
+    carries the mask of bits it may skip and scans the bases of `ins`
+    whose bit is not in the mask.  A split pushes only the pieces that
+    are live: a piece of 1, or of coefficient 0, would be popped and
+    skipped, and the other pieces keep their order.  For n' and k' hit
+    terms this costs O(n' * k') gcds and O(n' + k') per base a piece
+    inserted.
 
     Coefficients are `Fraction`s for `+` and integer numerators over one
     positive common denominator for `fold_sum`: the loop branches only on
     bases and on a coefficient being zero, which scaling leaves alone.
     """
-    v1: dict[int, None] = {}
-    v2: dict[int, None] = {}
-    v3: dict[int, None] = {}
-    views = (None, v1, v2, v3)
+    ins: dict[int, int] = {}
     while work:
         b, c, mask, bit = work.pop()
-        if b == 1 or not c:
-            continue
-        if b in bases:
-            c += bases[b]
+        ce = bases.get(b)
+        if ce is not None:
+            c += ce
             if c:
                 bases[b] = c
             else:
                 del bases[b]
-                v1.pop(b, None)
-                v2.pop(b, None)
-                v3.pop(b, None)
+                del ins[b]
             continue
-        for e in views[mask]:
+        for e, eb in ins.items():
+            if eb & mask:
+                continue
             g = gcd(b, e)
             if g > 1:
                 ce = bases.pop(e)
-                v1.pop(e, None)
-                v2.pop(e, None)
-                v3.pop(e, None)
-                work += (g, ce + c, 3, 0), (e // g, ce, 3, 0), (b // g, c, mask, 0)
+                del ins[e]
+                if ce + c:
+                    work.append((g, ce + c, 3, 0))
+                if e != g:
+                    work.append((e // g, ce, 3, 0))
+                if b != g:
+                    work.append((b // g, c, mask, 0))
                 break
         else:
             bases[b] = c
-            if bit != 1:
-                v1[b] = None
-            if bit != 2:
-                v2[b] = None
-            if not bit:
-                v3[b] = None
+            ins[b] = bit
+
+
+def _add_powers(hot: dict[int, int], hits: list[int], b: int, n: int) -> bool:
+    """Add the one-log term n * log(b) into `hot` without a split when b is
+    a product of powers of its hits, as `_split` would; otherwise return
+    False and leave `hot` as it is.
+
+    `hits` are the bases of `hot` that share a factor with b.  The
+    shortcut holds when b = r * prod(h ** a_h) with every a_h >= 1 and r
+    coprime to every hit, and when no hit cancels part-way:
+    c_h + j * n != 0 for 0 < j < a_h, c_h being h's numerator.  `_split`
+    then inserts b first, and each hit h, from the largest down, splits
+    the factors h off what is left of b one at a time: its piece
+    (h, c_h + j * n) meets that remainder again, as the first base of its
+    scan (the other hits' pieces are coprime to h), until no factor h is
+    left.  The result is {h: c_h + a_h * n} and {r: n} if r > 1, less the
+    zero coefficients.  A part-way cancellation would drop h's piece and
+    leave h ** (a_h - j) inside the remainder, so that case, like every
+    other, is left to `_split`.
+    """
+    r = b
+    sums = []
+    for h in hits:
+        a = 0
+        while not r % h:
+            r //= h
+            a += 1
+        if not a or gcd(r, h) > 1:
+            return False
+        c = hot[h]
+        if a > 1 and not c % n and 0 < -c // n < a:
+            return False
+        sums.append(c + a * n)
+    for h, c in zip(hits, sums):
+        if c:
+            hot[h] = c
+        else:
+            del hot[h]
+    if r > 1:
+        hot[r] = n
+    return True
 
 
 # adds per block of `fold_sum`; of 4, 8, 16, 32 and 64, 16 was fastest on
@@ -381,8 +435,12 @@ def fold_sum(pairs: Sequence[tuple[Rational, "LogLinear"]]) -> "LogLinear":
     """The left fold `((0 + w1 * v1) + w2 * v2) + ...` of rational weights
     times `LogLinear` values, with exactly the normal form of that fold.
 
-    The running log terms are integer numerators over one common
-    denominator `den`; a term whose coefficient needs a new denominator
+    A fold of one pair is `w1 * v1`: `0 + x` keeps x's normal form.
+
+    Otherwise the running log terms are integer numerators over one
+    common denominator `den`, kept a multiple of every coefficient
+    denominator times weight denominator seen, so that each term's
+    numerator is one product; an add that needs a new denominator
     rescales them to the lcm.  Weights of 0 are skipped, as `0 * v` is
     zero.  The normal form is built once, at the end.
 
@@ -401,65 +459,92 @@ def fold_sum(pairs: Sequence[tuple[Rational, "LogLinear"]]) -> "LogLinear":
     gcd pass against their product, terms that share no factor with the
     other side are copied in, and the rest go through `_split`, the
     accumulator's hits in ascending base order as its sorted normal form
-    lists them.  So a fold of n adds scans its m accumulated bases about
-    n / `_FOLD_BLOCK` times, instead of once per add, and each add scans
-    only the few bases of its block.
+    lists them.  An add of one log term b needs no product: b is the
+    product, and it shares a factor with every hit; `_add_powers` settles
+    it without a split when b is a product of powers of its hits, which
+    most windows of a log1p Birkhoff sum are.  So a fold of n adds scans
+    its m accumulated bases about n / `_FOLD_BLOCK` times, instead of once
+    per add, and each add scans only the few bases of its block.
     """
+    if len(pairs) == 1:
+        ((w, v),) = pairs
+        return v * w
     q = _ZERO
     cold: dict[int, int] = {}
     hot: dict[int, int] = {}
     den = 1
-    for i, (w, v) in enumerate(pairs):
-        if i and not i % _FOLD_BLOCK:
+    gt1 = (1).__lt__
+    for start in range(0, len(pairs), _FOLD_BLOCK):
+        block = pairs[start : start + _FOLD_BLOCK]
+        if start:
             # a new block: set aside the bases it cannot touch
             cold.update(hot)
-            block = pairs[i : i + _FOLD_BLOCK]
             p = math.prod([b for x, y in block if x for b, _ in y.logs])
-            hits = [*compress(cold, map((1).__lt__, map(gcd, cold, repeat(p))))]
+            hits = [*compress(cold, map(gt1, map(gcd, cold, repeat(p))))]
             hot = {b: cold.pop(b) for b in hits}
-        if not w:
-            continue
-        if v.rational:
-            q += w * v.rational
-        if not v.logs:
-            continue
-        wn, wd = w.numerator, w.denominator
-        terms = []
-        new_den = den
-        for b, c in v.logs:
-            n, d = c.numerator * wn, c.denominator * wd
-            g = gcd(n, d)
-            if g > 1:
-                n, d = n // g, d // g
-            if new_den % d:
-                new_den = new_den // gcd(new_den, d) * d
-            terms.append((b, n, d))
-        if new_den != den:
-            r = new_den // den
-            cold = {b: n * r for b, n in cold.items()}
-            hot = {b: n * r for b, n in hot.items()}
-            den = new_den
-        terms = [(b, n * (den // d)) for b, n, d in terms]
-        p = math.prod([b for b, _ in terms])
-        # the hot bases with gcd(b, p) > 1, in one C-level pass
-        hits = sorted(compress(hot, map((1).__lt__, map(gcd, hot, repeat(p)))))
-        if not hits:
-            hot.update(terms)
-            continue
-        work = [(b, hot.pop(b), 1, 1) for b in hits]
-        p = math.prod(hits)
-        for b, n in terms:
-            if gcd(b, p) > 1:
-                work.append((b, n, 2, 2))
-            else:
-                hot[b] = n
-        _split(hot, work)
+        for w, v in block:
+            if not w:
+                continue
+            if v.rational:
+                q += w * v.rational
+            logs = v.logs
+            if not logs:
+                continue
+            wn, wd = w.numerator, w.denominator
+            # den stays a multiple of every c.denominator * wd, so each
+            # term's numerator is c * w * den without a gcd
+            if len(logs) == 1:
+                # a one-log add: b is its own product, and shares a factor
+                # with every hit
+                ((b, c),) = logs
+                d = c.denominator * wd
+                if den % d:
+                    cold, hot, den = _rescaled(cold, hot, den, d)
+                n = c.numerator * wn * (den // d)
+                hits = [*compress(hot, map(gt1, map(gcd, hot, repeat(b))))]
+                if not hits:
+                    hot[b] = n
+                elif not _add_powers(hot, hits, b, n):
+                    hits.sort()
+                    work = [(h, hot.pop(h), 1, 1) for h in hits]
+                    work.append((b, n, 2, 2))
+                    _split(hot, work)
+                continue
+            d = math.lcm(*[c.denominator for _, c in logs]) * wd
+            if den % d:
+                cold, hot, den = _rescaled(cold, hot, den, d)
+            terms = [(b, c.numerator * wn * (den // (c.denominator * wd))) for b, c in logs]
+            p = math.prod([b for b, _ in terms])
+            # the hot bases with gcd(b, p) > 1, in one C-level pass
+            hits = sorted(compress(hot, map(gt1, map(gcd, hot, repeat(p)))))
+            if not hits:
+                hot.update(terms)
+                continue
+            work = [(h, hot.pop(h), 1, 1) for h in hits]
+            p = math.prod(hits)
+            for b, n in terms:
+                if gcd(b, p) > 1:
+                    work.append((b, n, 2, 2))
+                else:
+                    hot[b] = n
+            _split(hot, work)
     cold.update(hot)
-    # one Fraction per distinct numerator: few coefficients differ
+    return _from_numerators(q, sorted(cold.items()), den)
+
+
+def _rescaled(cold: dict, hot: dict, den: int, d: int) -> tuple[dict, dict, int]:
+    """`fold_sum`'s running numerators over lcm(den, d) instead of den."""
+    r = d // gcd(den, d)
+    return {b: n * r for b, n in cold.items()}, {b: n * r for b, n in hot.items()}, den * r
+
+
+def _from_numerators(q: Fraction, nums, den: int) -> "LogLinear":
+    """`LogLinear(q, ((b, n / den) for b, n in nums))` for sorted, pairwise
+    coprime bases and nonzero n, with one `Fraction` per distinct
+    numerator: few coefficients differ."""
     logs = []
     fracs: dict[int, Fraction] = {}
-    for b in sorted(cold):
-        n = cold[b]
+    for b, n in nums:
         c = fracs.get(n)
         if c is None:
             c = fracs[n] = Fraction(n, den)
@@ -554,12 +639,34 @@ class LogLinear:
         return o + (-self)
 
     def __mul__(self, other) -> "LogLinear":
-        if not isinstance(other, Rational):
-            return NotImplemented
-        q = Fraction(other)
-        if q == 0:
+        """The scaling by a rational, in the normal form of the fold
+        `0 + other * self`: the bases stay, the coefficients are integer
+        numerators over lcm(coefficient denominators) * other's
+        denominator, and `_from_numerators` builds one `Fraction` per
+        distinct one.  `self * 1` is `self`; `self * 0` is zero."""
+        if not isinstance(other, (int, Fraction)):
+            if not isinstance(other, Rational):
+                return NotImplemented
+            other = Fraction(other)
+        f, g = other.numerator, other.denominator
+        if f == g:  # other == 1: the normal form is unchanged
+            return self
+        if not f:
             return LogLinear.zero()
-        return LogLinear(self.rational * q, tuple((b, c * q) for b, c in self.logs))
+        q = self.rational
+        if q:
+            q *= other
+        logs = self.logs
+        if not logs:
+            return LogLinear(q, ())
+        # the coefficients as numerators over lcm(denominators) * other's
+        den = 1
+        for _, c in logs:
+            d = c.denominator
+            if den % d:
+                den = den // gcd(den, d) * d
+        nums = [(b, c.numerator * (den // c.denominator) * f) for b, c in logs]
+        return _from_numerators(q, nums, den * g)
 
     __rmul__ = __mul__
 
@@ -683,8 +790,8 @@ class LogLinear:
 
     def to_jsonable(self) -> dict:
         return {
-            "rational": str(self.rational),
-            "logs": {str(b): str(c) for b, c in self.logs},
+            "rational": fraction_str(self.rational),
+            "logs": {str(b): fraction_str(c) for b, c in self.logs},
             "display": float(self),
         }
 

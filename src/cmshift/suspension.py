@@ -318,7 +318,9 @@ class ClassRReport:
             "m_rows": [{"k": k, "display": v} for k, v in self.m_rows],
             "m_nondecreasing": self.m_nondecreasing,
             "tail_verdict": self.tail_verdict,
-            "var2_observed": None if self.var2_observed is None else str(self.var2_observed),
+            "var2_observed": None
+            if self.var2_observed is None
+            else fraction_str(self.var2_observed),
             "var2_ok": self.var2_ok,
             "horizon": self.horizon,
             "passed": self.passed,
@@ -433,7 +435,10 @@ def roof_integral(roof: RoofFunction, nu: ConvexCombination) -> LogLinear:
     if nu.mass != 1:
         raise ValueError(f"roof integrals are taken against probabilities; mass={nu.mass}")
     return fold_sum(
-        [(w / Fraction(mu.period), birkhoff_sum(roof, mu.orbit)) for w, mu in nu.terms]
+        [
+            (Fraction(w.numerator, w.denominator * mu.period), birkhoff_sum(roof, mu.orbit))
+            for w, mu in nu.terms
+        ]
     )
 
 
@@ -576,7 +581,11 @@ class FlowLimitReport:
             "integral_trace_display": [float(v) for v in self.integral_trace],
             "lambda": None
             if self.lam is None
-            else {"lo": str(self.lam.lo), "hi": str(self.lam.hi), "display": self.lam.midpoint_float()},
+            else {
+                "lo": fraction_str(self.lam.lo),
+                "hi": fraction_str(self.lam.hi),
+                "display": self.lam.midpoint_float(),
+            },
             "limit_integral_display": None
             if self.limit_integral is None
             else float(self.limit_integral),
@@ -932,7 +941,7 @@ def approximate_by_single_orbit(
         if not is_admissible(spec, short + short[:1]):
             measure_from_cycle(spec, _block_word(block))  # raises its error
         lo, hi = _metric_bracket(_mass_numerators(block, words), target_side, N)
-        integral = fold_sum([(Fraction(1, block.period), birkhoff_sum(roof, block))])
+        integral = birkhoff_sum(roof, block) * Fraction(1, block.period)
         gap = integral - target_integral
         if gap.sign() < 0:
             gap = -gap

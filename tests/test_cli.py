@@ -14,10 +14,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cmshift import cli, suspension
+from cmshift.asymptotics import Classification
 from cmshift.cli import EXIT_CONFIG, EXIT_EXHAUSTED, EXIT_OK, main
+from cmshift.exactval import Interval, LogLinear, fraction_str
 from cmshift.measures import combo_of_cylinder, metric_d, parse_combo_text
 from cmshift.shifts import parse_shift_arg
-from cmshift.suspension import flow_metric_rho, kac_lift, log1p_roof
+from cmshift.suspension import FlowLimitReport, flow_metric_rho, kac_lift, log1p_roof
 
 
 def run_cli(tmp_path, *argv):
@@ -714,6 +716,17 @@ class TestExitCodeContract:
         assert "symbols must be positive" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("word", ["0", "1,-3", "-2", "2,0,1"])
+    def test_cylinder_symbols_below_one_are_config_errors(self, tmp_path, capsys, word):
+        # `measure eval --cylinder 0` and `--cylinder 1,-3` exited 0 with
+        # mass 0 for a word that is no cylinder of any shift
+        code, out = run_cli(
+            tmp_path, "measure", "eval", "--combo", "1/2:(1);1/2:(1,2)", "--cylinder", word
+        )
+        assert code == EXIT_CONFIG
+        assert "symbols must be positive" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("path", [
         path for path, parser in _leaf_parsers(cli.build_parser())
         if any("--roof-file" in a.option_strings for a in parser._actions)
@@ -809,3 +822,29 @@ class TestDigitLimit:
         assert f"tolerance {eps} not reached" in payload["error"]
         best = payload["best"]
         assert exact_fraction(best["metric_lower"]) <= exact_fraction(best["metric_upper"])
+
+    # about 5 000 digits above and below the bar
+    BIG = Fraction(10**5000 + 1, 3 * 10**5000)
+
+    def test_flow_limit_lambda_past_the_limit(self):
+        limit = int_str_limit()
+        lam = Interval(self.BIG, self.BIG + Fraction(1, 10**5000))
+        report = FlowLimitReport("flow limit with mass lambda", (), {}, lam=lam)
+        payload = report.to_jsonable()["lambda"]
+        assert (exact_fraction(payload["lo"]), exact_fraction(payload["hi"])) == (lam.lo, lam.hi)
+        assert min(len(payload["lo"]), len(payload["hi"])) > 4300
+        assert int_str_limit() == limit
+
+    def test_computed_fractions_past_the_limit(self):
+        big = self.BIG
+        value = LogLinear(big, ((2, big), (3, Fraction(-1, 7))))
+        assert value.to_jsonable()["rational"] == fraction_str(big)
+        assert value.to_jsonable()["logs"] == {"2": fraction_str(big), "3": "-1/7"}
+        cls = Classification("defective", big, (((1,), big),))
+        assert cls.to_jsonable()["mass"] == fraction_str(big)
+        assert cls.to_jsonable()["defect_sites"][0]["defect"] == fraction_str(big)
+        assert exact_fraction(fraction_str(big)) == big
+
+    @pytest.mark.parametrize("q", [Fraction(0), Fraction(-3, 7), Fraction(10**600, 3), 5])
+    def test_fraction_str_is_str_below_the_limit(self, q):
+        assert fraction_str(q) == str(Fraction(q))

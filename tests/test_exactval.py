@@ -372,6 +372,45 @@ def block_edge_pairs(n: int):
     return pairs + [(-pairs[0][0], pairs[0][1])]
 
 
+one_pair_values = st.builds(
+    lambda q, raw: LogLinear(q, oracle_normal_form(raw)),
+    st.one_of(st.just(Fraction(0)), small_rationals),
+    # rational-only values, and up to 40 terms over often-shared bases
+    st.one_of(st.just([]), st.lists(st.tuples(bases, coefficients), max_size=40)),
+)
+
+
+@st.composite
+def one_log_pairs(draw):
+    """20-100 pairs (w, log b), b in 2..60 and w in +-1..3: the windows of
+    a log1p Birkhoff sum.  Some pairs come back negated later, often in a
+    later block of `fold_sum`, so that sums cancel across block edges."""
+    weights = st.sampled_from([-3, -2, -1, 1, 2, 3])
+    logs = st.integers(2, 60).map(LogLinear.log_of)
+    pairs = draw(st.lists(st.tuples(weights, logs), min_size=20, max_size=70))
+    for _ in range(draw(st.integers(0, 30))):
+        i = draw(st.integers(0, len(pairs) - 1))
+        w, v = pairs[i]
+        pairs.insert(draw(st.integers(i + 1, len(pairs))), (-w, v))
+    return pairs
+
+
+def _split_pops(run):
+    """The work items `_split` pops while `run()` runs."""
+    popped = []
+
+    class Work(list):
+        def pop(self):
+            item = super().pop()
+            popped.append(item)
+            return item
+
+    split = exactval._split
+    with mock.patch.object(exactval, "_split", lambda bases, work: split(bases, Work(work))):
+        run()
+    return popped
+
+
 def _assert_normal_form(logs):
     keys = [b for b, _ in logs]
     assert keys == sorted(keys)
@@ -470,6 +509,56 @@ class TestMergeKernel:
         want = oracle_fold(pairs)
         assert (got.rational, got.logs) == (want.rational, want.logs)
         assert got == LogLinear.log_of(math.factorial(1001))
+
+    @given(w=fold_weights, v=one_pair_values)
+    @example(w=0, v=LogLinear.log_of(Fraction(6, 35)))
+    @example(w=1, v=LogLinear.log_of(12) + Fraction(1, 3))
+    @example(w=Fraction(-3, 7), v=LogLinear.from_rational(Fraction(5, 2)))
+    @example(w=Fraction(2, 3), v=LogLinear(Fraction(0), ((2, Fraction(3, 2)), (3, Fraction(1, 2)))))
+    @settings(max_examples=300, deadline=None)
+    def test_one_pair_fold_is_the_scaling(self, w, v):
+        # a fold of one pair is w * v in the fold's normal form, with
+        # Fraction coefficients, and it makes no split
+        want = oracle_fold([(w, v)])
+        popped = []
+        for got in (fold_sum([(w, v)]), v * w, w * v):
+            assert (got.rational, got.logs) == (want.rational, want.logs)
+            assert type(got.rational) is Fraction
+            assert all(type(c) is Fraction for _, c in got.logs)
+        with mock.patch.object(exactval, "_split", lambda bases, work: popped.append(work)):
+            fold_sum([(w, v)])
+        assert popped == []
+
+    @given(pairs=one_log_pairs())
+    @example(pairs=[(-1, LogLinear.log_of(2)), (1, LogLinear.log_of(8))])
+    @example(pairs=[(1, LogLinear.log_of(12)), (1, LogLinear.log_of(72))])
+    @example(pairs=[(1, LogLinear.log_of(4)), (1, LogLinear.log_of(2))])
+    @example(pairs=[(1, LogLinear.log_of(6)), (-1, LogLinear.log_of(2)), (2, LogLinear.log_of(12))])
+    @settings(max_examples=200, deadline=None)
+    def test_one_log_fold_matches_oracle_left_fold(self, pairs):
+        got, want = fold_sum(pairs), oracle_fold(pairs)
+        assert (got.rational, got.logs) == (want.rational, want.logs)
+        _assert_normal_form(got.logs)
+
+    def test_part_way_cancellation_keeps_the_split_base(self):
+        # -log 2 + log 8: the split cancels 2's piece after one factor of
+        # 2 and keeps log 4, so the normal form is {4: 1}, not {2: 2}
+        pairs = [(-1, LogLinear.log_of(2)), (1, LogLinear.log_of(8))]
+        assert fold_sum(pairs).logs == oracle_fold(pairs).logs == ((4, 1),)
+        pairs = [(-1, LogLinear.log_of(2)), (1, LogLinear.log_of(4)), (1, LogLinear.log_of(8))]
+        assert fold_sum(pairs).logs == oracle_fold(pairs).logs
+
+    @given(pairs=st.one_of(fold_pairs(), long_fold_pairs(), one_log_pairs()))
+    @settings(max_examples=150, deadline=None)
+    def test_split_pops_no_dead_piece(self, pairs):
+        # a piece of 1, or of coefficient 0, is never pushed
+        popped = _split_pops(lambda: fold_sum(pairs))
+        assert all(b > 1 and c for b, c, _, _ in popped)
+
+    def test_split_skips_the_dead_piece_of_a_merge(self):
+        # log 2 + log 6 splits 6 by 2 and leaves 2 // 2 = 1, not pushed
+        popped = _split_pops(lambda: LogLinear.log_of(2) + LogLinear.log_of(6))
+        assert [b for b, *_ in popped] == [6, 2, 3, 2]
 
     @given(
         cycles=st.lists(
