@@ -15,10 +15,10 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Callable, Iterable, Sequence
-from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
 
+from ._record import record
 from .exactval import fraction_str
 from .measures import (
     ConvexCombination,
@@ -82,7 +82,7 @@ class SequenceGenerationError(RuntimeError):
         super().__init__(f"sequence generator failed at index {index}: {cause}")
 
 
-@dataclass(frozen=True)
+@record
 class MeasureSequence:
     """Lazily generated sequence of finite convex combinations, 1-indexed."""
 
@@ -161,7 +161,7 @@ def composite_sequence(
 # limits on cylinders
 
 
-@dataclass(frozen=True)
+@record
 class Classification:
     kind: str  # probability | subprobability | defective | undetermined
     mass: Fraction | None = None
@@ -177,7 +177,7 @@ class Classification:
         }
 
 
-@dataclass(frozen=True)
+@record
 class LimitReport:
     limit_table: CylinderFunction
     mass_bracket: tuple[Fraction, Fraction]
@@ -376,7 +376,7 @@ def classify_limit(report: LimitReport, K: int, tol: Rational) -> Classification
 # escape of mass
 
 
-@dataclass(frozen=True)
+@record
 class EscapeResult:
     measure: PeriodicMeasure
     low_mass: Fraction  # exact mass of the union of [s], s <= k
@@ -570,14 +570,14 @@ def non_f_witness_sequence(
 # Gurevich entropy estimation
 
 
-@dataclass(frozen=True)
+@record
 class EntropyRow:
     n: int
     loop_count: int
     estimate: float  # log(count)/n, display scale
 
 
-@dataclass(frozen=True)
+@record
 class EntropyReport:
     symbol: int
     rows: tuple[EntropyRow, ...]

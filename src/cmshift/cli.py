@@ -35,7 +35,7 @@ from .asymptotics import (
     non_f_witness_sequence,
     pair_loop_sequence,
 )
-from .exactval import fraction_str
+from .exactval import _STR_SAFE_BITS, fraction_str
 from .measures import (
     canonical_cylinders,
     combo_of_cylinder,
@@ -150,10 +150,16 @@ def _key_text(key) -> str:
     return encode_basestring_ascii(key)
 
 
+def _int_text(n: int) -> str:
+    """`int.__repr__(n)`, also past the int-to-str digit limit, where
+    `fraction_str` writes the same digits through `decimal`."""
+    return int.__repr__(n) if n.bit_length() <= _STR_SAFE_BITS else fraction_str(n)
+
+
 def _int_texts(values) -> Iterator[str]:
-    """`map(int.__repr__, values)`, with one `repr` per distinct value: a
-    long orbit repeats few symbols."""
-    text = {v: int.__repr__(v) for v in set(values)}
+    """`map(_int_text, values)`, with one text per distinct value: a long
+    orbit repeats few symbols."""
+    text = {v: _int_text(v) for v in set(values)}
     return map(text.__getitem__, values)
 
 
@@ -174,7 +180,7 @@ def _json_text(o, newline: str = "\n") -> str:
     if o is False:
         return "false"
     if isinstance(o, int):
-        return int.__repr__(o)
+        return _int_text(o)
     if isinstance(o, float):
         return _float_text(o)
     inner = newline + "  "
@@ -194,12 +200,16 @@ def _json_text(o, newline: str = "\n") -> str:
     raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
 
 
-# Python 3.13's json encodes indented output in C, faster than the walker
-_report_text = (
-    functools.partial(json.dumps, indent=2, sort_keys=True)
-    if sys.version_info >= (3, 13)
-    else _json_text
-)
+if sys.version_info >= (3, 13):
+    # Python 3.13's json encodes indented output in C, faster than the walker
+    def _report_text(payload: dict) -> str:
+        try:
+            return json.dumps(payload, indent=2, sort_keys=True)
+        except ValueError:  # an integer past the int-to-str digit limit
+            return _json_text(payload)
+
+else:
+    _report_text = _json_text
 
 
 def _write_report(args, name: str, payload: dict) -> Path:
@@ -343,7 +353,7 @@ def cmd_measure_eval(args) -> int:
             "value_display": float(value),
         },
     )
-    print(f"measure of [{args.cylinder}] = {value}")
+    print(f"measure of [{args.cylinder}] = {fraction_str(value)}")
     return EXIT_OK
 
 

@@ -57,13 +57,14 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import compress, repeat
 from math import gcd
 from numbers import Rational
+
+from ._record import record
 
 __all__ = ["Interval", "LogLinear", "fold_sum", "fraction_str", "log_interval"]
 
@@ -98,7 +99,7 @@ def _display_float(q: Fraction) -> float:
         return math.inf if q > 0 else -math.inf
 
 
-@dataclass(frozen=True)
+@record
 class Interval:
     """Closed rational interval [lo, hi], used for directed enclosures."""
 
@@ -552,7 +553,7 @@ def _from_numerators(q: Fraction, nums, den: int) -> "LogLinear":
     return LogLinear(q, tuple(logs))
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class LogLinear:
     """Exact value q + sum_i c_i * log(b_i); see module docstring.
 

@@ -22,10 +22,10 @@ import warnings
 import weakref
 from collections import Counter
 from collections.abc import Iterable, Iterator, Mapping
-from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
 
+from ._record import record
 from .shifts import (
     ShiftSpec,
     Word,
@@ -93,7 +93,7 @@ class TailInteractionError(ValueError):
 # periodic orbits and their measures
 
 
-@dataclass(frozen=True)
+@record
 class PeriodicOrbit:
     """A primitive admissible cycle; build through `periodic_orbit`."""
 
@@ -153,7 +153,7 @@ def _primitive_orbit(word: Word) -> PeriodicOrbit:
     return PeriodicOrbit(root)
 
 
-@dataclass(frozen=True)
+@record
 class PeriodicMeasure:
     """The invariant probability equidistributed on a periodic orbit."""
 
@@ -172,7 +172,7 @@ def fixed_point_measure(spec: ShiftSpec, symbol: int) -> PeriodicMeasure:
     return measure_from_cycle(spec, (symbol,))
 
 
-@dataclass(frozen=True)
+@record
 class RunWord:
     """The cyclic word s_1^r_1 s_2^r_2 ... held as its runs
     ((s_1, r_1), (s_2, r_2), ...): nonempty segments, repeats >= 1.
@@ -252,7 +252,7 @@ def _window_counts(orbit: PeriodicOrbit | RunWord, length: int) -> Counter[Word]
 # finite convex combinations (sub-probabilities)
 
 
-@dataclass(frozen=True)
+@record
 class ConvexCombination:
     """sum_j weight_j * mu_j with exact weights in (0, 1], total <= 1.
 
@@ -394,7 +394,7 @@ def support_table(
 # invariance diagnostics
 
 
-@dataclass(frozen=True)
+@record
 class InvarianceReport:
     max_defect: Fraction
     defects: tuple[tuple[Word, Fraction], ...]  # nonzero ones only
@@ -661,7 +661,7 @@ def _metric_bracket(
 # cylinder tables: finitely represented candidate limits
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class CylinderFunction:
     """A finitely represented [0,1]-valued function on cylinders.
 
@@ -773,7 +773,7 @@ def additivity_defect(
 # constant first-symbol tail
 
 
-@dataclass(frozen=True)
+@record
 class TestFunction:
     """f = sum_i a_i 1_{C_i}, plus an optional constant value on every
     point whose first symbol exceeds a threshold."""
@@ -818,7 +818,7 @@ def integrate_test_function(f: TestFunction, nu: ConvexCombination) -> Fraction:
     return sum((a * nums.get(w, 0) for a, w in f.atoms), Fraction(0)) / L
 
 
-@dataclass(frozen=True)
+@record
 class C0Report:
     """Horizon-relative report on the vanishing-at-infinity conditions."""
 

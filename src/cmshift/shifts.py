@@ -17,7 +17,8 @@ import threading
 from bisect import bisect_right
 from collections import deque
 from collections.abc import Callable, Iterable, Iterator, Mapping
-from dataclasses import dataclass
+
+from ._record import record
 
 __all__ = [
     "Word",
@@ -44,7 +45,7 @@ __all__ = [
 Word = tuple[int, ...]
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class ShiftSpec:
     """A countable Markov shift given by a transition oracle.
 
@@ -73,7 +74,7 @@ class ShiftSpec:
         return bool(self.allowed(i, j))
 
 
-@dataclass(frozen=True)
+@record
 class SearchCaps:
     """Explicit resource bounds for semi-decidable searches."""
 
@@ -109,18 +110,20 @@ def successor_iter(
     that the row goes on past `cap`, None when the oracle cannot tell
     (no hint, and the alphabet is not known to end at or below `cap`).
     A consumer that stops early gets no answer.  No symbol lies below 1,
-    so the row of such an `i` is empty and ends (the hint is not read).
+    so the row of such an `i` is empty and ends (the hint is not read);
+    without a hint, so does the row of an `i` above a finite alphabet.
     """
     if cap < 1:
         raise ValueError("cap must be >= 1")
     hint = spec.successors_hint
-    if i < 1:
+    size = spec.alphabet_size
+    if i < 1 or (hint is None and size is not None and i > size):
         more = False
     elif hint is None:
         for j in range(1, cap + 1):
             if spec.is_allowed(i, j):
                 yield j
-        more = None if spec.alphabet_size is None or spec.alphabet_size > cap else False
+        more = None if size is None or size > cap else False
     else:
         prev, more = 0, False
         for j in hint(i):
@@ -253,7 +256,7 @@ def enumerate_loops(
     return found, len(found) == cap
 
 
-@dataclass(frozen=True)
+@record
 class ProbeResult:
     """Truncation-relative count of words of a given length from i to i."""
 
@@ -578,7 +581,7 @@ def load_shift_text(text: str, name: str = "user") -> ShiftSpec:
     )
 
 
-@dataclass(frozen=True)
+@record
 class ShiftCheckReport:
     """Best-effort structural probe of a shift up to explicit truncation."""
 

@@ -13,10 +13,10 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Callable, Iterable, Mapping
-from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
 
+from ._record import record
 from .asymptotics import (
     EscapeSearchError,
     MeasureSequence,
@@ -110,7 +110,7 @@ def _as_value(x) -> LogLinear:
     raise TypeError(f"cannot use {type(x).__name__} as an exact roof value")
 
 
-@dataclass(frozen=True)
+@record
 class TailRule:
     """Named first-symbol rule for words outside the roof table."""
 
@@ -132,7 +132,7 @@ def tail_constant(q: Rational) -> TailRule:
     return TailRule(f"const:{q}", lambda s: LogLinear.from_rational(q))
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class RoofFunction:
     """Depth-k locally constant roof with a first-symbol tail rule.
 
@@ -293,7 +293,7 @@ def roof_eval(roof: RoofFunction, word: Iterable[int]) -> LogLinear:
     )
 
 
-@dataclass(frozen=True)
+@record
 class ClassRReport:
     floor_holds: bool
     floor_witnesses: tuple[tuple[Word | int, str], ...]  # violations, if any
@@ -446,7 +446,7 @@ def roof_integral(roof: RoofFunction, nu: ConvexCombination) -> LogLinear:
 # the Kac correspondence and flow measures
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class FlowMeasure:
     """lam times the flow probability with the given base; lam = 0 is the
     distinguished zero measure (no base, no integral)."""
@@ -565,7 +565,7 @@ def flow_metric_rho(
 # flow-level limit analysis
 
 
-@dataclass(frozen=True)
+@record
 class FlowLimitReport:
     verdict: str  # "zero flow limit" | "flow limit with mass lambda" | "undetermined"
     integral_trace: tuple[LogLinear, ...]
@@ -690,7 +690,7 @@ def flow_limit_analyze(
 # flow escape sequences
 
 
-@dataclass(frozen=True)
+@record
 class FlowEscapeResult:
     sequence: MeasureSequence
     construction: str  # "escape-words" | "first-return-loops"
@@ -787,7 +787,7 @@ def flow_escape_sequence(
 # single-orbit approximation of rational convex combinations
 
 
-@dataclass(frozen=True)
+@record
 class ApproxResult:
     measure: PeriodicMeasure
     repetitions: int  # the realized block budget R

@@ -146,7 +146,8 @@ def oracle_successors(spec: ShiftSpec, i: int, cap: int) -> tuple[list[int], boo
             row.append(j)
         return row, False
     row = [j for j in range(1, cap + 1) if spec.is_allowed(i, j)]
-    truncated = spec.alphabet_size is None or spec.alphabet_size > cap
+    size = spec.alphabet_size
+    truncated = size is None or (size > cap and 1 <= i <= size)
     return row, truncated
 
 
@@ -163,12 +164,17 @@ def oracle_successor_iter(spec: ShiftSpec, i: int, cap: int):
 
 
 def oracle_row_continues_beyond(spec: ShiftSpec, i: int, cap: int):
+    # no symbol lies below 1, and without a hint none above a finite
+    # alphabet: such a row is empty and surely ends
+    if i < 1:
+        return False
     if spec.successors_hint is not None:
         for j in spec.successors_hint(i):
             if j > cap:
                 return True
         return False
-    if spec.alphabet_size is not None and spec.alphabet_size <= cap:
+    size = spec.alphabet_size
+    if size is not None and (size <= cap or i > size):
         return False
     return None
 

@@ -3,6 +3,7 @@ import csv
 import io
 import json
 import math
+import subprocess
 import sys
 import tracemalloc
 from decimal import Decimal
@@ -848,3 +849,36 @@ class TestDigitLimit:
     @pytest.mark.parametrize("q", [Fraction(0), Fraction(-3, 7), Fraction(10**600, 3), 5])
     def test_fraction_str_is_str_below_the_limit(self, q):
         assert fraction_str(q) == str(Fraction(q))
+
+    # reads a report with the digit limit lifted, checks that it is in
+    # stdlib json layout, and hands its numerator and denominator back in
+    # hex, which no limit applies to
+    READ_BACK = """
+import json, sys
+sys.set_int_max_str_digits(0)
+text = open(sys.argv[1], encoding="ascii").read()
+report = json.loads(text)
+assert text == json.dumps(report, indent=2, sort_keys=True) + "\\n"
+print(hex(report["numerator"]), hex(report["denominator"]))
+"""
+
+    def test_measure_eval_integers_past_the_limit(self, tmp_path, capsys):
+        limit = int_str_limit()
+        sieve = bytearray([1]) * 22_000
+        for n in range(2, 149):
+            sieve[n * n :: n] = bytes(len(sieve[n * n :: n]))
+        primes = [p for p in range(10**4, len(sieve)) if sieve[p]][:1200]
+        assert len(primes) == 1200
+        combo = ";".join(f"1/{p}:(1)" for p in primes)
+        code, out = run_cli(tmp_path, "measure", "eval", "--combo", combo, "--cylinder", "1")
+        assert code == EXIT_OK, capsys.readouterr().err
+        want = sum(Fraction(1, p) for p in primes)
+        assert len(fraction_str(want.denominator)) > 4300
+        assert f"measure of [1] = {fraction_str(want)}" in capsys.readouterr().out
+        read = subprocess.run(
+            [sys.executable, "-c", self.READ_BACK, str(out / "measure_eval.json")],
+            capture_output=True, text=True, check=True,
+        )
+        num, den = (int(h, 16) for h in read.stdout.split())
+        assert Fraction(num, den) == want and den == want.denominator
+        assert int_str_limit() == limit

@@ -365,6 +365,18 @@ class TestRowKernelDifferential:
         assert tail == []
         assert list(it) == list(range(2, 11)) and tail == [True]
 
+    @pytest.mark.parametrize("i", [-2, 0, 5, 7])
+    @pytest.mark.parametrize("cap", [3, 9])
+    def test_a_symbol_outside_the_alphabet_has_an_empty_ended_row(self, monkeypatch, i, cap):
+        asked = []
+        is_allowed = ShiftSpec.is_allowed
+        monkeypatch.setattr(
+            ShiftSpec, "is_allowed", lambda spec, a, b: asked.append((a, b)) or is_allowed(spec, a, b)
+        )
+        spec = ShiftSpec("h", lambda i, j: True, alphabet_size=4)
+        assert successors(spec, i, cap) == ([], False)
+        assert asked == []
+
     @pytest.mark.parametrize("cap", [0, -1])
     def test_cap_below_one_is_rejected(self, full, cap):
         with pytest.raises(ValueError, match="cap must be >= 1"):
