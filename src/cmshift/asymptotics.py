@@ -308,7 +308,7 @@ def cylinder_limit(
     if undetermined:
         classification = Classification("undetermined")
     else:
-        classification = _classify_table(table, depth, symbol_cap, tol, mass_lo)
+        classification = _classify_table(table, depth, tol, mass_lo)
     return LimitReport(
         limit_table=table,
         mass_bracket=mass_bracket,
@@ -323,7 +323,6 @@ def cylinder_limit(
 def _classify_table(
     table: CylinderFunction,
     depth: int,
-    K: int,
     tol: Fraction,
     mass_lo: Fraction | None = None,
 ) -> Classification:
@@ -360,6 +359,10 @@ def classify_limit(report: LimitReport, K: int, tol: Rational) -> Classification
     This looks only at the represented table, so a sequence whose late
     terms still spike on individual cylinders (escaping mass does) can
     nevertheless be classified from its stabilized values.
+
+    K sets no horizon: it is only checked against the table's symbol
+    caps at depths 2 and up, and each defect sums every child that the
+    table represents.
     """
     tol = Fraction(tol)
     table = report.limit_table
@@ -369,7 +372,7 @@ def classify_limit(report: LimitReport, K: int, tol: Rational) -> Classification
             raise ValueError(
                 f"defect horizon {K} exceeds represented symbol cap {cap} at depth {d}"
             )
-    return _classify_table(table, depth, K, tol)
+    return _classify_table(table, depth, tol)
 
 
 # ---------------------------------------------------------------------------

@@ -37,11 +37,11 @@ from .asymptotics import (
 )
 from .exactval import _STR_SAFE_BITS, fraction_str
 from .measures import (
+    _metric_d_on,
     canonical_cylinders,
     combo_of_cylinder,
     combo_to_jsonable,
     invariance_check,
-    metric_d,
     parse_combo_text,
 )
 from .shifts import (
@@ -115,8 +115,9 @@ def _echo(args) -> dict:
 
 def _at_least_one(args, *names: str) -> None:
     """Reject an option below 1 that no library call rejects: `shift
-    info` reads its rows itself, and the rho and flow-limit kernels take
-    any precision `eval_interval` takes, down to -1."""
+    info` reads its rows itself and `metric d` its cylinders, the rho
+    and flow-limit kernels take any precision `eval_interval` takes,
+    down to -1, and `classify_limit` any defect horizon K."""
     for name in names:
         if getattr(args, name) < 1:
             raise ValueError(f"{name} must be >= 1")
@@ -377,10 +378,12 @@ def cmd_measure_invariance(args) -> int:
 
 
 def cmd_metric_d(args) -> int:
+    _at_least_one(args, "N")
     spec = _load_shift(args)
     a = parse_combo_text(spec, args.combo_a)
     b = parse_combo_text(spec, args.combo_b)
-    lo, hi = metric_d(a, b, args.N, spec)
+    words = canonical_cylinders(spec, args.N)
+    lo, hi = _metric_d_on(a, b, words)
     _write_report(
         args,
         "metric_d",
@@ -389,9 +392,7 @@ def cmd_metric_d(args) -> int:
             "upper": fraction_str(hi),
             "lower_display": float(lo),
             "upper_display": float(hi),
-            "cylinders": [
-                _word_str(w) for w in canonical_cylinders(spec, args.N)
-            ],
+            "cylinders": [_word_str(w) for w in words],
         },
     )
     print(
@@ -458,6 +459,7 @@ def cmd_converge_trace(args) -> int:
 
 
 def cmd_converge_classify(args) -> int:
+    _at_least_one(args, "K")
     spec = _load_shift(args)
     seq = _build_sequence(spec, args)
     report = cylinder_limit(seq, args.depth, args.symbol_cap, args.n_max, args.tol)
@@ -492,6 +494,7 @@ def cmd_escape(args) -> int:
 
 
 def cmd_nonf_demo(args) -> int:
+    _at_least_one(args, "K")
     spec = _load_shift(args)
     try:
         seq = non_f_witness_sequence(spec, args.i, args.q, args.count, args.symbol_cap)

@@ -17,9 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
-import threading
 import warnings
-import weakref
 from collections import Counter
 from collections.abc import Iterable, Iterator, Mapping
 from fractions import Fraction
@@ -482,9 +480,6 @@ def canonical_cylinder_iter(spec: ShiftSpec) -> Iterator[Word]:
     leaves no length at all the language is finite (no word is longer
     than the longest yielded, and all of those have smaller sums), and
     the iterator ends.  Otherwise it is infinite.
-
-    The shift is only ever reached through `spec`, so that a weak proxy
-    passed in (as `canonical_cylinders` does) stays the only reference.
     """
     top = spec.alphabet_size
     # (sum, length) -> (words in canonical order, [(first symbol, start, stop)])
@@ -528,53 +523,13 @@ def canonical_cylinder_iter(spec: ShiftSpec) -> Iterator[Word]:
                 classes[total, length] = words, groups
 
 
-class _Prefix:
-    """The canonical cylinders of one shift enumerated so far, and the
-    enumeration that extends them."""
-
-    __slots__ = ("words", "rest", "lock", "spec")
-
-    def __init__(self, spec: ShiftSpec):
-        # the enumeration reads the shift through a proxy: a strong
-        # reference from the memo's value would keep its key alive
-        self.spec = weakref.proxy(spec)
-        self.words: list[Word] = []
-        self.rest = canonical_cylinder_iter(self.spec)
-        self.lock = threading.Lock()
-
-    def take(self, count: int) -> list[Word]:
-        with self.lock:
-            missing = count - len(self.words)
-            if missing > 0:
-                try:
-                    self.words.extend(itertools.islice(self.rest, missing))
-                except BaseException:
-                    # a generator that raised is spent; start over next time
-                    self.words = []
-                    self.rest = canonical_cylinder_iter(self.spec)
-                    raise
-            return self.words[:count]
-
-
-_prefixes: weakref.WeakKeyDictionary[ShiftSpec, _Prefix] = weakref.WeakKeyDictionary()
-_prefixes_lock = threading.Lock()
-
-
 def canonical_cylinders(spec: ShiftSpec, count: int) -> list[Word]:
-    """The first `count` canonical cylinders, as a new list.
-
-    The enumeration runs once per `ShiftSpec` object: each spec has a
-    prefix that grows on demand (under a lock) and is freed with the
-    spec, so repeated and growing requests read what earlier ones
-    generated.  Specs are told apart by identity, never by name.
+    """The first `count` canonical cylinders, from a new enumeration:
+    nothing is kept between calls, so no lock is needed.
 
     Raises ValueError when the shift has fewer admissible cylinders.
     """
-    with _prefixes_lock:
-        prefix = _prefixes.get(spec)
-        if prefix is None:
-            prefix = _prefixes[spec] = _Prefix(spec)
-    words = prefix.take(count)
+    words = list(itertools.islice(canonical_cylinder_iter(spec), count))
     if len(words) < count:
         raise ValueError(
             f"{spec.name} has only {len(words)} admissible cylinders; "
@@ -609,9 +564,8 @@ def metric_d(a, b, N: int, spec: ShiftSpec) -> tuple[Fraction, Fraction]:
     """Bracket for d(a, b) = sum_n 2^-n |a(C_n) - b(C_n)|.
 
     The lower bound is the exact partial sum over the first N canonical
-    cylinders; the upper bound adds the tail bound 2^-N.  The cylinders
-    come from the shift's memoised canonical prefix, and a measure's
-    masses on all N of them from the one mass kernel
+    cylinders; the upper bound adds the tail bound 2^-N.  A measure's
+    masses on all N cylinders come from the one mass kernel
     (`_window_numerators`): one window count per orbit and word length,
     as integer numerators over one lcm.  The sum runs on those integers
     (`_metric_bracket`).  Of two tables that fail, the one with the
@@ -619,7 +573,12 @@ def metric_d(a, b, N: int, spec: ShiftSpec) -> tuple[Fraction, Fraction]:
     """
     if N < 1:
         raise ValueError("N must be >= 1")
-    words = canonical_cylinders(spec, N)
+    return _metric_d_on(a, b, canonical_cylinders(spec, N))
+
+
+def _metric_d_on(a, b, words: list[Word]) -> tuple[Fraction, Fraction]:
+    """`metric_d` over `words`, the first len(words) >= 1 canonical
+    cylinders, for a caller that keeps them."""
     sides, failures = [], []
     for obj in (a, b):
         try:
@@ -628,7 +587,7 @@ def metric_d(a, b, N: int, spec: ShiftSpec) -> tuple[Fraction, Fraction]:
             failures.append(exc)
     if failures:
         raise min(failures, key=lambda exc: exc.index)
-    return _metric_bracket(*sides, N)
+    return _metric_bracket(*sides, len(words))
 
 
 def _dyadic_sum(terms: list[int], denominator: int) -> Fraction:

@@ -525,12 +525,12 @@ def flow_metric_rho(
     """Bracket for the flow metric: partial sum over the first N canonical
     cylinders plus the 2^-N tail allowance.
 
-    The cylinders come from the shift's memoised canonical prefix.  Each
-    side's brackets on all N of them are integer numerators k_n times one
-    rational pair [a, b] (`_kac_brackets`, which evaluates c and I at
-    most once per side, and only when that side has mass on a cylinder).
-    Over one common denominator D of both sides' pairs every endpoint of
-    every difference is an integer, so |x - y| is split into its cases on
+    The N cylinders are enumerated once per call.  Each side's brackets
+    on all N of them are integer numerators k_n times one rational pair
+    [a, b] (`_kac_brackets`, which evaluates c and I at most once per
+    side, and only when that side has mass on a cylinder).  Over one
+    common denominator D of both sides' pairs every endpoint of every
+    difference is an integer, so |x - y| is split into its cases on
     integers, and each endpoint sum is one `_dyadic_sum` over D.
     """
     if N < 1:

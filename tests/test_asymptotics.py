@@ -292,7 +292,7 @@ class TestClassifyTable:
         # children without parents, and entries past the depth
         table = CylinderFunction(entries, {d: 4 for d in range(1, depth + 1)})
         mass_lo = Fraction(1, 3) if with_mass else None
-        assert _classify_table(table, depth, 4, tol, mass_lo) == quadratic_classify_table(
+        assert _classify_table(table, depth, tol, mass_lo) == quadratic_classify_table(
             table, depth, 4, tol, mass_lo
         )
 
@@ -307,7 +307,7 @@ class TestClassifyTable:
             )
             table = CylinderFunction.from_combo(nu, depth, cap)
             tol = Fraction(1, rng.choice([2, 10, 1000]))
-            assert _classify_table(table, depth, cap, tol) == quadratic_classify_table(
+            assert _classify_table(table, depth, tol) == quadratic_classify_table(
                 table, depth, cap, tol
             )
 
@@ -318,7 +318,7 @@ class TestClassifyTable:
         table = CylinderFunction.from_combo(nu, 3, 390)  # the cap leaves defects
         assert len(table.entries) > 1000
         tol = Fraction(1, 1000)
-        got = _classify_table(table, 3, 390, tol)
+        got = _classify_table(table, 3, tol)
         assert got.kind == "defective"
         assert got == quadratic_classify_table(table, 3, 390, tol)
 

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cmshift import cli, suspension
+from cmshift import cli, measures, suspension
 from cmshift.asymptotics import Classification
 from cmshift.cli import EXIT_CONFIG, EXIT_EXHAUSTED, EXIT_OK, main
 from cmshift.exactval import Interval, LogLinear, fraction_str
@@ -277,6 +277,27 @@ class TestDriver:
         assert code == EXIT_CONFIG
         assert "N must be >= 1" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["metric", "d", "--combo-a", "1:(1)", "--combo-b", "1:(1,2)", "--N", "30"],
+        ["metric", "rho", "--combo-a", "1:(1)", "--combo-b", "1:(1,2)", "--N", "30"],
+        ["densusp", "--shift", "full", "--target", "1/2:(1);1/2:(2)", "--eps", "1/10"],
+        ["densusp", "--shift", "full", "--target", "1:(1,2)", "--eps", "1/10"],
+    ], ids=["metric-d", "metric-rho", "densusp", "densusp-one-cycle"])
+    def test_one_enumeration_per_run(self, tmp_path, monkeypatch, argv):
+        # no enumeration outlives its call, so a verb that read its
+        # cylinders twice would pay for the enumeration twice
+        built = []
+        inner = measures.canonical_cylinder_iter
+
+        def counted(spec):
+            built.append(spec)
+            return inner(spec)
+
+        monkeypatch.setattr(measures, "canonical_cylinder_iter", counted)
+        code, _ = run_cli(tmp_path, *argv)
+        assert code == EXIT_OK
+        assert len(built) == 1
 
     @pytest.mark.parametrize("verb", ["trace", "classify"])
     @pytest.mark.parametrize("rows", ["1: 1\n", "1: 1\n2: 2\n"])
@@ -693,6 +714,8 @@ class TestExitCodeContract:
             (("flow", "classr"), "--horizon"),
             (("metric", "rho"), "--prec"),
             (("flow", "limit"), "--prec"),
+            (("converge", "classify"), "--K"),
+            (("nonf-demo",), "--K"),
         ]
     ])
     def test_loop_caps_below_one_are_config_errors(self, tmp_path, capsys, path, option, value):

@@ -785,12 +785,15 @@ class TestRunWindowCounts:
 
 
 def fresh_canonical(spec, count):
-    """Oracle: a new enumeration, independent of the memoised prefix."""
+    """Oracle: a new enumeration, read through the iterator directly."""
     return list(itertools.islice(canonical_cylinder_iter(spec), count))
 
 
 class TestCanonicalPrefix:
-    """`canonical_cylinders` reads one memoised prefix per spec object."""
+    """`canonical_cylinders` enumerates afresh on every call and keeps
+    nothing: requests in any order, from any thread, after a failed one,
+    or on twin specs agree with a fresh enumeration, callers own their
+    lists, and no spec is kept alive."""
 
     def test_keyed_by_identity_not_name(self):
         loop = load_shift_text("1: 1\n")
@@ -815,6 +818,11 @@ class TestCanonicalPrefix:
             else:
                 with pytest.raises(ValueError, match="only 3 admissible cylinders"):
                     canonical_cylinders(dead_end, count)
+
+    def test_a_negative_count_raises(self, full):
+        canonical_cylinders(full, 3)
+        with pytest.raises(ValueError):
+            canonical_cylinders(full, -1)
 
     def test_callers_get_copies(self, full):
         first = canonical_cylinders(full, 6)
@@ -851,8 +859,8 @@ class TestCanonicalPrefix:
         assert canonical_cylinders(spec, 200) == fresh_canonical(full, 200)
 
     def test_concurrent_requests_agree(self):
-        # more threads than cores and a short switch interval, so that an
-        # unguarded prefix would interleave two extensions of one generator
+        # more threads than cores and a short switch interval, so that
+        # state shared between calls would interleave two extensions
         spec = parse_shift_arg("renewal")
         oracle = fresh_canonical(spec, 1600)
         got = {}

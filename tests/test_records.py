@@ -29,7 +29,7 @@ from hypothesis import strategies as st
 import cmshift
 from cmshift import _record
 from cmshift.exactval import Interval, LogLinear
-from cmshift.measures import CylinderFunction, _prefixes, canonical_cylinders
+from cmshift.measures import CylinderFunction, canonical_cylinders
 from cmshift.shifts import ShiftSpec, full_shift
 from cmshift.suspension import RoofFunction, tail_log1p
 from import_guard import record_classes
@@ -213,10 +213,9 @@ def test_shift_spec_is_identity_hashed_and_weakly_referenced():
     assert spec != twin and hash(spec) == object.__hash__(spec)
     ref = weakref.ref(spec)
     assert ref() is spec
-    # the canonical-prefix table holds specs by weak reference
+    # enumerating another shift's cylinders keeps nothing alive
     full = full_shift()
     canonical_cylinders(full, 3)
-    assert full in _prefixes
     del spec
     assert ref() is None
 

@@ -1,4 +1,6 @@
 import itertools
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -266,6 +268,50 @@ class TestFPropertyProbe:
     def test_infinite_family_not_certified(self, fam_linear):
         probe = f_property_probe(fam_linear, 1, 3, 10**6, 10**4)
         assert probe.is_at_least  # the root row never certifies finite
+
+
+class TestLoopFamilyLock:
+    """A loop family's block table grows on demand and is shared by every
+    caller of one spec; its `RLock` is the library's one lock."""
+
+    # descending, so that each thread's first call grows the table from
+    # its three initial entries to loop length 146 in one go
+    SYMBOLS = range(10**6, 0, -5000)
+
+    @staticmethod
+    def answers(spec, symbols):
+        decode = spec.allowed.__self__.decode
+        return [
+            (decode(s), spec.allowed(1, s), spec.allowed(s, s + 1), spec.allowed(s, 1))
+            for s in symbols
+        ]
+
+    def test_threads_sharing_a_fresh_spec_agree_with_one_thread(self):
+        oracle = self.answers(loop_family_shift(lambda n: n), self.SYMBOLS)
+        # eight threads grow one fresh table at once, under a short switch
+        # interval; without the lock about half of these rounds interleave
+        # two extensions and misread symbols
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(30):
+                spec = loop_family_shift(lambda n: n)
+                start = threading.Barrier(8)
+                got = {}
+
+                def ask(k):
+                    start.wait()
+                    got[k] = self.answers(spec, self.SYMBOLS)
+
+                threads = [threading.Thread(target=ask, args=(k,)) for k in range(8)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+                assert not any(t.is_alive() for t in threads)
+                assert all(got[k] == oracle for k in range(8))
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestBuiltinsAndLoaders:
