@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from fractions import Fraction
 from numbers import Rational
 
@@ -405,70 +405,52 @@ def _interior_word_search(
 ) -> Word | None:
     """Word (a, u..., b) with a, b <= k and interior symbols >= k+1.
 
-    Iterative deepening is pointless upward here (longer interiors only
-    get harder), so the search runs once at the requested interior
-    length with a failure memo keyed by (symbol, residual): a state that
-    could not reach an exit in `r` more steps never can again.
+    After the structural hint, one `_loop_words` search runs from a
+    virtual root 0 whose row is 1..k, so one failure memo serves every
+    endpoint a.  Rows keep only symbols above k; those read from
+    interior rows are charged to `caps.max_nodes`, and the search raises
+    rather than read one past it.  b is the first symbol <= k after u.
     """
     hint = spec.interior_path_hint
-    if hint is not None:
-        word = hint(k, min_interior, caps.symbol_cap)
-        if word is not None:
-            interior = word[1:-1]
-            if (
-                len(word) >= min_interior + 2
-                and word[0] <= k
-                and word[-1] <= k
-                and all(s > k for s in interior)
-                and is_admissible(spec, word)
-            ):
-                return word
+    word = None if hint is None else hint(k, min_interior, caps.symbol_cap)
+    if (
+        word is not None
+        and len(word) >= min_interior + 2
+        and word[0] <= k
+        and word[-1] <= k
+        and all(s > k for s in word[1:-1])
+        and is_admissible(spec, word)
+    ):
+        return word
 
-    if caps.symbol_cap < 1:
-        return None  # no symbol lies under the cap
-    budget = caps.max_nodes
-    failed: set[tuple[int, int]] = set()
+    spent = 0  # symbols read from interior rows
+    exits: dict[int, int | None] = {}  # interior symbol -> first symbol <= k after it
 
-    def _deep_iter(sym: int) -> Iterable[int]:
-        return (x for x in successor_iter(spec, sym, caps.symbol_cap) if x > k)
-
-    for a in range(1, k + 1):
-        for s0 in successor_iter(spec, a, caps.symbol_cap):
-            if s0 <= k:
+    def row(s: int) -> Iterator[int]:
+        nonlocal spent
+        if s == 0:
+            yield from range(1, k + 1)
+            return
+        for x in successor_iter(spec, s, caps.symbol_cap):
+            if x <= k:
                 continue
-            # depth-first over the > k subgraph, path of length min_interior
-            path = [s0]
-            iters = [_deep_iter(s0)]
-            while path:
-                if budget <= 0:
+            if s > k:
+                if spent >= caps.max_nodes:
                     raise EscapeSearchError(
                         f"interior search for k={k}, length {min_interior} "
                         f"exceeded the node budget {caps.max_nodes} "
                         f"(symbol cap {caps.symbol_cap})"
                     )
-                residual = min_interior - len(path)
-                if residual == 0:
-                    b = next(successor_iter(spec, path[-1], k), None)
-                    if b is not None:
-                        return (a, *path, b)
-                    failed.add((path[-1], 0))
-                    path.pop()
-                    iters.pop()
-                    continue
-                advanced = False
-                for nxt in iters[-1]:
-                    budget -= 1
-                    if (nxt, residual - 1) in failed:
-                        continue
-                    path.append(nxt)
-                    iters.append(_deep_iter(nxt))
-                    advanced = True
-                    break
-                if not advanced:
-                    failed.add((path[-1], residual))
-                    path.pop()
-                    iters.pop()
-    return None
+                spent += 1
+            yield x
+
+    def last(s: int) -> bool:
+        if s not in exits:
+            exits[s] = next(successor_iter(spec, s, k), None)
+        return exits[s] is not None
+
+    word = next(_loop_words(row, 0, min_interior + 2, last), None)
+    return None if word is None else (*word[1:], exits[word[-1]])
 
 
 def escape_sequence(
@@ -530,27 +512,26 @@ def first_return_loops(
     """First `count` cycles (i, r_1, ..., r_{q-1}) with no interior i,
     ascending; these are the period-q first-return loops at i.
 
-    One lazy pass over at most 10*count + 1000 loop words at i, which
-    stops at the `count`-th first-return loop.
+    One lazy `_loop_words` pass over rows without i, so every word it
+    yields is a first-return loop; NotEnoughLoopsError means that fewer
+    than `count` of them exist under `symbol_cap`.
     """
     if q < 1:
         raise ValueError("q must be >= 1")
     if count < 1:
         raise ValueError("count must be >= 1")
-    limit = 10 * count + 1000
-    words = _loop_words(spec, i, q, symbol_cap, lambda x: spec.is_allowed(x, i))
-    loops: list[Word] = []
-    read = 0
-    for read, w in enumerate(itertools.islice(words, limit), 1):
-        if i not in w[1:]:
-            loops.append(w)
-            if len(loops) == count:
-                return loops
-    raise NotEnoughLoopsError(
-        f"only {len(loops)} first-return loops of period {q} at {i} exist "
-        f"under symbol cap {symbol_cap}"
-        + ("" if read < limit else " (enumeration saturated)")
-    )
+
+    def row(s: int) -> Iterator[int]:
+        return (x for x in successor_iter(spec, s, symbol_cap) if x != i)
+
+    words = _loop_words(row, i, q, lambda x: spec.is_allowed(x, i))
+    loops = list(itertools.islice(words, count))
+    if len(loops) < count:
+        raise NotEnoughLoopsError(
+            f"only {len(loops)} first-return loops of period {q} at {i} exist "
+            f"under symbol cap {symbol_cap}"
+        )
+    return loops
 
 
 def non_f_witness_sequence(

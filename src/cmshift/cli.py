@@ -114,13 +114,14 @@ def _echo(args) -> dict:
 
 
 def _at_least_one(args, *names: str) -> None:
-    """Reject an option below 1 that no library call rejects: `shift
-    info` reads its rows itself and `metric d` its cylinders, the rho
-    and flow-limit kernels take any precision `eval_interval` takes,
-    down to -1, and `classify_limit` any defect horizon K."""
+    """Reject an option below 1 that no library call rejects, named as
+    spelled on the command line: `shift info` reads its rows itself and
+    `metric d` its cylinders, the rho and flow-limit kernels take any
+    precision `eval_interval` takes, down to -1, `classify_limit` any
+    defect horizon K and `cylinder_limit` any table cap."""
     for name in names:
         if getattr(args, name) < 1:
-            raise ValueError(f"{name} must be >= 1")
+            raise ValueError(f"{name.replace('_', '-')} must be >= 1")
 
 
 def _symbols_positive(args) -> None:
@@ -432,6 +433,8 @@ def _build_sequence(spec, args):
             f"unknown sequence constructor {args.seq!r}; "
             f"choices: {sorted(_SEQUENCES)}"
         ) from None
+    if args.seq == "point-masses" and args.i != 1:
+        raise ValueError("--seq point-masses takes no --i")
     return builder(spec, args)
 
 
@@ -495,6 +498,8 @@ def cmd_escape(args) -> int:
 
 def cmd_nonf_demo(args) -> int:
     _at_least_one(args, "K")
+    if args.table_cap is not None:
+        _at_least_one(args, "table_cap")
     spec = _load_shift(args)
     try:
         seq = non_f_witness_sequence(spec, args.i, args.q, args.count, args.symbol_cap)
@@ -508,7 +513,7 @@ def cmd_nonf_demo(args) -> int:
         rows.append(_csv_line((n, args.i, v.numerator, v.denominator, float(v))))
     # the table cap sits below the family's moving symbols so the final
     # values show the limit, not the last term's escaping block
-    table_cap = args.table_cap or max(args.i + 1, args.count // 2)
+    table_cap = max(args.i + 1, args.count // 2) if args.table_cap is None else args.table_cap
     report = cylinder_limit(seq, args.depth, table_cap, args.count, args.tol)
     cls = classify_limit(report, min(args.K, table_cap), args.tol)
     _write_csv(

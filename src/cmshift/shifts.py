@@ -5,9 +5,11 @@ Rows may be infinite, so every search in this module carries explicit
 caps (symbol bound, length bound, node budget) and reports truncation
 rather than assuming it away.  Every row is read through one lazy
 kernel, `successor_iter`, which also says whether the row goes on past
-its cap, and every loop search is one depth-first search over it.
-Words are plain tuples of positive integers; a cylinder is identified
-with its defining word.
+its cap.  Every word search but `connect` (breadth-first) is one
+depth-first search, `_loop_words`, over rows its caller chooses: the
+escape interior search reads rows above k, and `first_return_loops`
+rows without i, so its shortfall is exact.  Words are plain tuples of
+positive integers; a cylinder is identified with its defining word.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import threading
 from bisect import bisect_right
 from collections import deque
 from collections.abc import Callable, Iterable, Iterator, Mapping
+from functools import partial
 
 from ._record import record
 
@@ -76,7 +79,8 @@ class ShiftSpec:
 
 @record
 class SearchCaps:
-    """Explicit resource bounds for semi-decidable searches."""
+    """Explicit resource bounds for semi-decidable searches; `max_nodes`
+    bounds the symbols the escape search reads from interior rows."""
 
     symbol_cap: int = 10_000
     connect_max_len: int = 32
@@ -193,33 +197,30 @@ def connect(
 
 
 def _loop_words(
-    spec: ShiftSpec,
+    row: Callable[[int], Iterator[int]],
     a: int,
     n: int,
-    symbol_cap: int,
     last: Callable[[int], bool],
-    tail: list[bool | None] | None = None,
 ) -> Iterator[Word]:
-    """Admissible words (a, x2, ..., xn) with last(xn), lexicographically.
+    """Words (a, x2, ..., xn) along `row` with last(xn), lexicographically.
 
-    One depth-first search serves every loop count: rows are read
-    lazily up to `symbol_cap`, so a consumer that stops after k words
-    reads no row further than those words need.  Each row read to its
-    end appends its continuation to `tail` (see `successor_iter`).
+    `row(s)` yields the successors of s ascending, as the caller reads
+    them (a capped `successor_iter`, perhaps filtered).  Rows are read
+    lazily, so a consumer that stops after k words reads no row further
+    than those words need.
 
     A failure memo keeps the search in proportion to its output: once
     the subtree below symbol s with r positions left is exhausted with
     no word yielded, (s, r) is recorded and never entered again, since
     the same rows and the same `last` give the same empty subtree.  Its
-    rows were read to their end that first time, so `tail` already
-    holds their continuations.
+    rows were read to their end that first time.
     """
     if n == 1:
         if last(a):
             yield (a,)
         return
     prefix = [a]
-    rows = [successor_iter(spec, a, symbol_cap, tail)]  # rows[k] proposes x_{k+2}
+    rows = [row(a)]  # rows[k] proposes x_{k+2}
     marks = [0]  # words yielded before each row was entered
     failed: set[tuple[int, int]] = set()  # (symbol, positions left after it)
     found = 0
@@ -232,7 +233,7 @@ def _loop_words(
                     yield (*prefix, j)
             elif (j, left) not in failed:
                 prefix.append(j)
-                rows.append(successor_iter(spec, j, symbol_cap, tail))
+                rows.append(row(j))
                 marks.append(found)
                 break
         else:
@@ -251,7 +252,8 @@ def enumerate_loops(
         raise ValueError("n must be >= 1")
     if cap < 1:
         raise ValueError("cap must be >= 1")
-    words = _loop_words(spec, a, n, symbol_cap, lambda x: spec.is_allowed(x, a))
+    row = partial(successor_iter, spec, cap=symbol_cap)
+    words = _loop_words(row, a, n, lambda x: spec.is_allowed(x, a))
     found = list(itertools.islice(words, cap))
     return found, len(found) == cap
 
@@ -297,7 +299,8 @@ def f_property_probe(
     if cap < 1:
         raise ValueError("cap must be >= 1")
     tail: list[bool | None] = []
-    words = _loop_words(spec, i, n, symbol_cap, lambda x: x == i, tail)
+    row = partial(successor_iter, spec, cap=symbol_cap, tail=tail)
+    words = _loop_words(row, i, n, lambda x: x == i)
     count = sum(1 for _ in itertools.islice(words, cap))
     certified = all(t is False for t in tail)
     return ProbeResult(count, count < cap, certified, cap, symbol_cap)

@@ -1,16 +1,21 @@
+import itertools
 import random
+from collections.abc import Iterable
 from fractions import Fraction
 
 import pytest
 
-from cmshift.asymptotics import NotEnoughLoopsError
+from cmshift.asymptotics import EscapeSearchError, NotEnoughLoopsError
 from cmshift.exactval import Interval, LogLinear, _int_log_interval
 from cmshift.measures import C0Report, convex_combination, measure_from_cycle
 from cmshift.shifts import (
     ProbeResult,
+    SearchCaps,
     ShiftSpec,
+    Word,
     finite_full_shift,
     full_shift,
+    is_admissible,
     load_shift_text,
     loop_family_shift,
     parse_shift_arg,
@@ -126,9 +131,10 @@ KERNEL_SHIFTS = {
 
 
 # ---------------------------------------------------------------------------
-# the former row readers, loop searches, canonical enumeration and C0
-# check, kept as oracles for the lazy row kernel `successor_iter`, the
-# memoised loop-word DFS and the canonical enumeration by extension
+# the former row readers, loop searches, escape interior search,
+# canonical enumeration and C0 check, kept as oracles for the lazy row
+# kernel `successor_iter`, the memoised loop-word DFS, the interior
+# search on it and the canonical enumeration by extension
 
 
 def oracle_successors(spec: ShiftSpec, i: int, cap: int) -> tuple[list[int], bool]:
@@ -330,32 +336,96 @@ def counted(spec):
 
 
 def oracle_first_return_loops(spec, i, q, count, symbol_cap):
-    """The former two passes: a padded enumeration, then a larger one."""
+    """Brute force: every word (i, r_1, ..., r_{q-1}) over the symbols
+    <= symbol_cap other than i, in lexicographic order, kept when it is
+    admissible and returns to i."""
     if q < 1:
         raise ValueError("q must be >= 1")
+    if count < 1:
+        raise ValueError("count must be >= 1")
     loops = []
-    words, _ = oracle_enumerate_loops(
-        spec, i, q, cap=max(count * 4, count + 16), symbol_cap=symbol_cap
-    )
-    for w in words:
-        if all(s != i for s in w[1:]):
-            loops.append(w)
-        if len(loops) == count:
-            return loops
-    loops = []
-    words, saturated = oracle_enumerate_loops(
-        spec, i, q, cap=10 * count + 1000, symbol_cap=symbol_cap
-    )
-    for w in words:
-        if all(s != i for s in w[1:]):
-            loops.append(w)
-        if len(loops) == count:
-            return loops
+    others = [s for s in range(1, symbol_cap + 1) if s != i]
+    for rest in itertools.product(others, repeat=q - 1):
+        word = (i, *rest)
+        if is_admissible(spec, word) and spec.is_allowed(word[-1], i):
+            loops.append(word)
+            if len(loops) == count:
+                return loops
     raise NotEnoughLoopsError(
         f"only {len(loops)} first-return loops of period {q} at {i} exist "
         f"under symbol cap {symbol_cap}"
-        + ("" if not saturated else " (enumeration saturated)")
     )
+
+
+def oracle_interior_word_search(
+    spec: ShiftSpec, k: int, min_interior: int, caps: SearchCaps
+) -> Word | None:
+    """Word (a, u..., b) with a, b <= k and interior symbols >= k+1.
+
+    Iterative deepening is pointless upward here (longer interiors only
+    get harder), so the search runs once at the requested interior
+    length with a failure memo keyed by (symbol, residual): a state that
+    could not reach an exit in `r` more steps never can again.
+    """
+    hint = spec.interior_path_hint
+    if hint is not None:
+        word = hint(k, min_interior, caps.symbol_cap)
+        if word is not None:
+            interior = word[1:-1]
+            if (
+                len(word) >= min_interior + 2
+                and word[0] <= k
+                and word[-1] <= k
+                and all(s > k for s in interior)
+                and is_admissible(spec, word)
+            ):
+                return word
+
+    if caps.symbol_cap < 1:
+        return None  # no symbol lies under the cap
+    budget = caps.max_nodes
+    failed: set[tuple[int, int]] = set()
+
+    def _deep_iter(sym: int) -> Iterable[int]:
+        return (x for x in successor_iter(spec, sym, caps.symbol_cap) if x > k)
+
+    for a in range(1, k + 1):
+        for s0 in successor_iter(spec, a, caps.symbol_cap):
+            if s0 <= k:
+                continue
+            # depth-first over the > k subgraph, path of length min_interior
+            path = [s0]
+            iters = [_deep_iter(s0)]
+            while path:
+                if budget <= 0:
+                    raise EscapeSearchError(
+                        f"interior search for k={k}, length {min_interior} "
+                        f"exceeded the node budget {caps.max_nodes} "
+                        f"(symbol cap {caps.symbol_cap})"
+                    )
+                residual = min_interior - len(path)
+                if residual == 0:
+                    b = next(successor_iter(spec, path[-1], k), None)
+                    if b is not None:
+                        return (a, *path, b)
+                    failed.add((path[-1], 0))
+                    path.pop()
+                    iters.pop()
+                    continue
+                advanced = False
+                for nxt in iters[-1]:
+                    budget -= 1
+                    if (nxt, residual - 1) in failed:
+                        continue
+                    path.append(nxt)
+                    iters.append(_deep_iter(nxt))
+                    advanced = True
+                    break
+                if not advanced:
+                    failed.add((path[-1], residual))
+                    path.pop()
+                    iters.pop()
+    return None
 
 
 def _oracle_branch_values(spec, prefix, base, atoms_below, min_next, certified_box):

@@ -2,17 +2,21 @@ import math
 import random
 import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import conftest
+from cmshift import asymptotics
 from cmshift.asymptotics import (
     Classification,
     EscapeSearchError,
     NotEnoughLoopsError,
     SequenceGenerationError,
     _classify_table,
+    _interior_word_search,
     _window,
     _window_oscillations,
     classify_limit,
@@ -44,11 +48,18 @@ from cmshift.shifts import (
     finite_full_shift,
     full_shift,
     is_admissible,
+    load_shift_text,
     loop_family_shift,
     parse_shift_arg,
     successor_iter,
 )
-from conftest import KERNEL_SHIFTS, counted, oracle_first_return_loops, oracle_successors
+from conftest import (
+    KERNEL_SHIFTS,
+    counted,
+    oracle_first_return_loops,
+    oracle_interior_word_search,
+    oracle_successors,
+)
 
 
 def _outcome(fn, *args):
@@ -416,6 +427,102 @@ class TestEscape:
         with pytest.raises(EscapeSearchError):
             escape_sequence(ff3, k=3, target_len=10)
 
+    # the row list `1: 4` with every row 4..40 listing 4..40: no exit
+    # below 4, so the search walks its whole memo of (symbol, positions
+    # left) states, a little over 400 000 reads
+    DEAD_END = load_shift_text(
+        "1: 4\n" + "".join(f"{i}: {' '.join(map(str, range(4, 41)))}\n" for i in range(4, 41))
+    )
+
+    def test_node_budget_message(self):
+        caps = SearchCaps(symbol_cap=100, max_nodes=1000)
+        with pytest.raises(EscapeSearchError) as exc:
+            escape_sequence(self.DEAD_END, 3, 300, caps)
+        assert str(exc.value) == (
+            "interior search for k=3, length 298 exceeded the node budget 1000 (symbol cap 100)"
+        )
+
+    def test_default_budget_exhausts_the_search(self):
+        with pytest.raises(EscapeSearchError, match="^no admissible word of length 300 "):
+            escape_sequence(self.DEAD_END, 3, 300, SearchCaps(symbol_cap=100))
+
+    def test_budget_bounds_the_reads(self):
+        # the former search read row 3 through after its budget of 3 was
+        # spent, since every symbol in it had failed before, and returned
+        # None; the budget now bounds the reads, so the fourth raises
+        spec = load_shift_text("1: 2 3\n2: 4 5\n3: 4 5\n4: 6\n5: 6\n")
+        caps = SearchCaps(symbol_cap=10, max_nodes=3)
+        assert oracle_interior_word_search(spec, 1, 2, caps) is None
+        with pytest.raises(EscapeSearchError, match="exceeded the node budget 3"):
+            _interior_word_search(spec, 1, 2, caps)
+        assert _interior_word_search(spec, 1, 2, SearchCaps(symbol_cap=10, max_nodes=4)) is None
+
+
+def _interior_search(search, module, spec, k, min_interior, caps):
+    """The search's word, None or error text, and the interior symbols
+    it read: symbols above k yielded by rows of symbols above k, the
+    reads that `max_nodes` charges."""
+    reads = 0
+
+    def counting(spec, s, cap, tail=None):
+        nonlocal reads
+        for x in successor_iter(spec, s, cap, tail):
+            reads += s > k and x > k
+            yield x
+
+    with mock.patch.object(module, "successor_iter", counting):
+        try:
+            result = search(spec, k, min_interior, caps)
+        except EscapeSearchError as exc:
+            result = str(exc)
+    return result, reads
+
+
+class TestInteriorSearchDifferential:
+    @given(
+        rows=st.dictionaries(
+            st.integers(1, 10), st.sets(st.integers(1, 10), min_size=1, max_size=6), min_size=6
+        ),
+        hinted=st.booleans(),
+        path_hint=st.none() | st.lists(st.integers(1, 10), min_size=3, max_size=11).map(tuple),
+        k=st.integers(1, 4),
+        min_interior=st.integers(1, 9),
+        symbol_cap=st.integers(1, 20),
+        max_nodes=st.sampled_from([5, 20, 100, 500_000]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_former_search(
+        self, rows, hinted, path_hint, k, min_interior, symbol_cap, max_nodes
+    ):
+        top = max([*rows, *(j for r in rows.values() for j in r)])
+        text = "".join(f"{i}: {' '.join(map(str, sorted(r)))}\n" for i, r in rows.items())
+        table = load_shift_text(text)
+        hint = None if path_hint is None else lambda k, m, cap: path_hint
+        spec = ShiftSpec(
+            "rows",
+            table.allowed,
+            table.successors_hint if hinted else None,
+            alphabet_size=top,
+            interior_path_hint=hint,
+        )
+        caps = SearchCaps(symbol_cap=symbol_cap, max_nodes=max_nodes)
+        new, new_reads = _interior_search(
+            _interior_word_search, asymptotics, spec, k, min_interior, caps
+        )
+        old, old_reads = _interior_search(
+            oracle_interior_word_search, conftest, spec, k, min_interior, caps
+        )
+        new_raised, old_raised = isinstance(new, str), isinstance(old, str)
+        if not old_raised and old_reads <= max_nodes:
+            # the former search finished within its budget
+            assert new == old
+        if new_raised:
+            assert old_raised or old_reads > max_nodes
+            if old_raised:
+                assert new == old
+        # the read that would pass the budget raises instead
+        assert new_reads - new_raised <= old_reads
+
 
 class TestNonFWitnesses:
     def test_full_shift_family(self, full):
@@ -445,18 +552,18 @@ class TestNonFWitnesses:
         symbol_cap=st.integers(min_value=1, max_value=8),
     )
     @settings(max_examples=200, deadline=None)
-    def test_first_return_loops_match_the_former_two_passes(self, name, i, q, count, symbol_cap):
+    def test_first_return_loops_match_brute_force(self, name, i, q, count, symbol_cap):
         spec = KERNEL_SHIFTS[name]
         assert _outcome(first_return_loops, spec, i, q, count, symbol_cap) == _outcome(
             oracle_first_return_loops, spec, i, q, count, symbol_cap
         )
 
-    def test_saturated_sweep_message(self, full):
-        # 8^4 words (1, 1, ...) come first, more than the sweep reads
+    def test_loops_past_words_through_i(self, full):
+        # 8^4 loop words (1, 1, ...) come first; a sweep of 1 050 loop
+        # words at 1 found none of these and reported 0
         args = (full, 1, 6, 5, 8)
-        with pytest.raises(NotEnoughLoopsError, match=r"only 0 .* \(enumeration saturated\)$"):
-            first_return_loops(*args)
-        assert _outcome(first_return_loops, *args) == _outcome(oracle_first_return_loops, *args)
+        assert first_return_loops(*args) == [(1, 2, 2, 2, 2, r) for r in range(2, 7)]
+        assert first_return_loops(*args) == oracle_first_return_loops(*args)
 
     @pytest.mark.parametrize("count", [0, -1])
     def test_count_below_one_is_rejected(self, full, count):

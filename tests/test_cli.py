@@ -133,6 +133,17 @@ class TestVerbs:
         rows = read_csv(out, "entropy")
         assert rows[-1][1] == str(3**11)
 
+    def test_nonf_demo_finds_loops_past_words_through_i(self, tmp_path):
+        # the first 8^4 loop words at 1 run through 1; a capped sweep of
+        # loop words found no first-return loop among them and exited 3
+        code, out = run_cli(
+            tmp_path, "nonf-demo", "--shift", "full", "--i", "1", "--q", "6", "--count", "5",
+            "--symbol-cap", "8",
+        )
+        assert code == EXIT_OK
+        rows = read_csv(out, "nonf_demo")
+        assert [(r[2], r[3]) for r in rows[1:]] == [("1", "6")] * 5
+
     def test_escape_and_obstruction(self, tmp_path):
         code, out = run_cli(
             tmp_path, "escape", "--shift", "full", "--k", "3", "--target-len", "12",
@@ -716,6 +727,7 @@ class TestExitCodeContract:
             (("flow", "limit"), "--prec"),
             (("converge", "classify"), "--K"),
             (("nonf-demo",), "--K"),
+            (("nonf-demo",), "--table-cap"),
         ]
     ])
     def test_loop_caps_below_one_are_config_errors(self, tmp_path, capsys, path, option, value):
@@ -723,6 +735,27 @@ class TestExitCodeContract:
         assert code == EXIT_CONFIG
         assert f"{option[2:]} must be >= 1" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_escape_symbol_cap_below_one_is_config_error(self, tmp_path, capsys, value):
+        # the interior search returned no word under such a cap, exit 3
+        code, out = run_cli(tmp_path, "escape", *CONTRACT_BASE[("escape",)], "--symbol-cap", value)
+        assert code == EXIT_CONFIG
+        assert "cap must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("path", [("converge", "trace"), ("converge", "classify"),
+                                      ("flow", "limit")], ids="-".join)
+    def test_point_masses_take_no_i(self, tmp_path, capsys, path):
+        # the fixed points n-bar do not depend on `--i`, which was echoed
+        # into the report and otherwise ignored
+        argv = [*path, *CONTRACT_BASE[path], "--seq", "point-masses"]
+        code, out = run_cli(tmp_path, *argv, "--i", "5")
+        assert code == EXIT_CONFIG
+        assert "--seq point-masses takes no --i" in capsys.readouterr().err
+        assert not out.exists()
+        code, _ = run_cli(tmp_path, *argv, "--i", "1")
+        assert code == EXIT_OK
 
     @pytest.mark.parametrize("value", ["0", "-1"])
     @pytest.mark.parametrize("path, option", [
